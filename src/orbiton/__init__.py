@@ -45,7 +45,7 @@ from .orbit_atlas import (
     orbit_model,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "classify",

@@ -573,7 +573,9 @@ def run_fredholm(cfg: RunConfig):
                     "index": row["index"],
                     "gap_ratio": row["gap_ratio"],
                 })
-    except (_fredholm.GapTooSmall, _fredholm.AsymptoticMismatch) as exc:
+    except (_fredholm.BadParams, _fredholm.GridTooCoarse):
+        raise  # input errors; main() maps them to EXIT_INPUT_ERROR
+    except _fredholm.FredholmError as exc:
         report["error"] = {"type": type(exc).__name__, "detail": str(exc),
                            "suggestion": "double N and rerun"}
         report["status"] = "fail"

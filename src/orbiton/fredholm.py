@@ -11,6 +11,16 @@ sample point land on a grid node, so the discretization is a weighted sum of
 shift matrices with no interpolation step.  Both operators are identity plus
 compact; the numerical index machinery recovers (dim ker, dim coker) = (1, 0)
 for each, with an independent ODE oracle for the kernel function.
+
+The reflection x -> -x swaps the two half-line blocks of the 2N x 2N
+matrix, so each operator splits into its parity sectors: on one
+(even for S_1, odd for S_2) it acts as the N x N block I - 2 B, with B the
+lower-triangular Volterra-type quadrature of one half-line, and on the
+other as the identity.  The index is computed from that one triangular
+block: its smallest singular triples come from inverse subspace iteration
+with triangular solves (Golub & Van Loan, Matrix Computations), the
+identity sector contributes N unit singular values, and kernel vectors are
+lifted back to the 2N layout by parity.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ __all__ = [
     "GridTooCoarse",
     "GapTooSmall",
     "AsymptoticMismatch",
+    "NotConverged",
     "LogGrid",
     "DiscreteOperator",
     "IndexResult",
@@ -60,8 +71,12 @@ PARITY_TOL = 1e-6
 SLOPE_TOL = 0.05
 WINDOW_TOL = 0.05
 
-_FULL_SVD_MAX = 3000
 _PROBE = 8
+# Inverse iteration stops once every singular value that feeds the gap
+# gate has moved less than _ITER_RTOL (relative) in one step, and fails
+# closed after _ITER_CAP steps.
+_ITER_RTOL = 1e-10
+_ITER_CAP = 60
 
 
 class FredholmError(Exception):
@@ -82,6 +97,17 @@ class GapTooSmall(FredholmError):
 
 class AsymptoticMismatch(FredholmError):
     pass
+
+
+class NotConverged(FredholmError):
+    """Inverse iteration reached its cap before the gate values settled."""
+
+    def __init__(self, iterations: int, change: float):
+        self.iterations = iterations
+        self.change = change
+        super().__init__(
+            f"inverse iteration stopped at its cap of {iterations} steps "
+            f"with relative change {change:.3g} (needs < {_ITER_RTOL:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +202,17 @@ def _shift_kernel(n: int, h: float) -> np.ndarray:
     return t
 
 
+def _volterra(grid: LogGrid) -> np.ndarray:
+    """Half-line block 2 exp(-x^2/2) * shift kernel; lower-triangular."""
+    x = np.exp(grid.s)
+    # Rows with x beyond e^L would carry exp(-x^2/2) < 1e-14 once L >= 3,
+    # so cutting the domain there only perturbs identity rows.
+    gauss = 2.0 * np.exp(-0.5 * x * x)
+    base = _shift_kernel(grid.N, grid.h)
+    base *= gauss[:, None]
+    return base
+
+
 _B = {
     1: np.array([[1.0, 1.0], [1.0, 1.0]]),
     2: np.array([[1.0, -1.0], [-1.0, 1.0]]),
@@ -200,10 +237,15 @@ class DiscreteOperator:
         """Leading singular values of the compact part.
 
         Returns the first `count` singular values and k0, the number of
-        them at or above 1e-8.  Cost is a full singular value pass; meant
-        for diagnostics at moderate N.
+        them at or above 1e-8.  The compact part vanishes on the identity
+        parity sector, so its singular values are those of I minus the
+        N x N sector block plus N zeros; cost is one N x N singular value
+        pass, meant for diagnostics at moderate N.
         """
-        sv = np.linalg.svd(self.compact_part(), compute_uv=False)
+        k = -_sector(self)
+        k[np.diag_indices_from(k)] += 1.0
+        sv = np.concatenate([np.linalg.svd(k, compute_uv=False),
+                             np.zeros(self.grid.N)])
         k0 = int(np.count_nonzero(sv >= 1e-8))
         return {
             "sigma": [float(v) for v in sv[:count]],
@@ -225,13 +267,7 @@ def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
         raise GridTooCoarse(
             f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
             f"use N >= {need} at L={grid.L:g}")
-    x = np.exp(grid.s)
-    # Rows with x beyond e^L would carry exp(-x^2/2) < 1e-14 once L >= 3,
-    # so cutting the domain there only perturbs identity rows.
-    gauss = 2.0 * np.exp(-0.5 * x * x)
-    base = _shift_kernel(grid.N, grid.h)
-    base *= gauss[:, None]
-    a = np.kron(_B[which], base)
+    a = np.kron(_B[which], _volterra(grid))
     np.negative(a, out=a)
     a[np.diag_indices_from(a)] += 1.0
     return DiscreteOperator(grid=grid, matrix=a, which=which)
@@ -285,6 +321,9 @@ class IndexResult:
     coker_vectors: tuple = ()
     ker_residuals: tuple = ()
     coker_residuals: tuple = ()
+    # Inverse iteration steps taken; kept out of to_json so reports stay
+    # byte-stable.
+    iterations: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -304,11 +343,58 @@ class IndexResult:
         }
 
 
-def _weighted_matrix(op: DiscreteOperator) -> np.ndarray:
+def _sector(op: DiscreteOperator) -> np.ndarray:
+    """The parity block A11 + s A12 of op.matrix, s = +1 (which=1) or -1.
+
+    Fails closed with BadParams unless the matrix commutes exactly with
+    the swap of its halves, the other block A11 - s A12 is the identity to
+    rounding, and the returned block is exactly lower-triangular.  Under
+    those properties the operator is this block on its parity sector
+    ([r, s r]) and the identity on the other one.
+    """
+    if op.which not in (1, 2):
+        raise BadParams(f"which must be 1 or 2, got {op.which!r}")
+    n = op.grid.N
+    a = op.matrix
+    if a.shape != (2 * n, 2 * n):
+        raise BadParams(
+            f"matrix shape {a.shape} does not match the grid (2N = {2 * n})")
+    a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
+    if not (np.array_equal(a11, a22) and np.array_equal(a12, a21)):
+        dev = max(float(np.max(np.abs(a11 - a22))),
+                  float(np.max(np.abs(a12 - a21))))
+        raise BadParams(
+            f"matrix does not commute with the half swap: largest "
+            f"deviation {dev:.3g}")
+    if op.which == 1:
+        sector, other = a11 + a12, a11 - a12
+    else:
+        sector, other = a11 - a12, a11 + a12
+    other[np.diag_indices(n)] -= 1.0
+    dev = float(np.max(np.abs(other)))
+    tol = 16.0 * np.finfo(float).eps * (
+        1.0 + max(float(np.max(a12)), -float(np.min(a12))))
+    if dev > tol:
+        raise BadParams(
+            f"the other parity sector is not the identity: largest "
+            f"deviation {dev:.3g} (rounding allows {tol:.3g})")
+    upper = np.triu(sector, 1)
+    if np.any(upper):
+        raise BadParams(
+            f"parity sector is not lower-triangular: largest deviation "
+            f"{float(np.max(np.abs(upper))):.3g}")
+    return sector
+
+
+def _weighted_sector(op: DiscreteOperator):
+    """The parity block in the weighted geometry, and W^(1/2) of a half."""
     # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
     # Euclidean one, so ordinary singular values are the operator's.
-    root = np.sqrt(op.grid.weights)
-    return (root[:, None] * op.matrix) / root[None, :]
+    sector = _sector(op)
+    root = np.sqrt(op.grid.weights[:op.grid.N])
+    sector *= root[:, None]
+    sector /= root[None, :]
+    return sector, root
 
 
 def _sigma_max(m: np.ndarray, iters: int = 40) -> float:
@@ -325,96 +411,86 @@ def _sigma_max(m: np.ndarray, iters: int = 40) -> float:
     return float(np.linalg.norm(m @ v))
 
 
-def _small_triples(m: np.ndarray, k: int, iters: int = 60):
-    """Smallest k singular triples via inverse subspace iteration.
+def _sector_triples(m: np.ndarray, k: int, gate: float):
+    """Smallest k singular triples of a lower-triangular m.
 
-    Returns (sigmas ascending, right vectors, left vectors) or None when
-    the LU solves degenerate (exactly singular matrix); callers then fall
-    back to a dense decomposition.
+    Inverse subspace iteration: each step applies (m^T m)^-1 by two
+    triangular solves, re-orthonormalizes, and takes Ritz values from the
+    block.  It stops once the values under `gate`, plus the next one, all
+    moved less than _ITER_RTOL relative; after _ITER_CAP steps it raises
+    NotConverged.  Returns (sigmas ascending, right vectors, left
+    vectors, steps taken).
     """
-    n = m.shape[0]
-    lu = scipy.linalg.lu_factor(m, check_finite=False)
+    diag = np.diagonal(m)
+    if not np.all(diag):
+        raise BadParams(
+            f"parity sector is exactly singular (zero diagonal at row "
+            f"{int(np.argmin(np.abs(diag)))})")
     rng = np.random.default_rng(12345)
-    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    g = None
+    v = np.linalg.qr(rng.standard_normal((m.shape[0], k)))[0]
     prev = None
-    for _ in range(iters):
-        y = scipy.linalg.lu_solve(lu, v, trans=1, check_finite=False)
-        y = scipy.linalg.lu_solve(lu, y, trans=0, check_finite=False)
-        if not np.all(np.isfinite(y)):
-            return None
-        v, _ = np.linalg.qr(y)
-        c = m @ v
-        g = c.T @ c
-        vals = np.sqrt(np.maximum(np.linalg.eigvalsh(g), 0.0))
-        if prev is not None and np.allclose(vals, prev, rtol=1e-10,
-                                            atol=1e-300):
-            break
+    change = math.inf
+    for step in range(1, _ITER_CAP + 1):
+        z = scipy.linalg.solve_triangular(m, v, trans="T", lower=True,
+                                          check_finite=False)
+        y = scipy.linalg.solve_triangular(m, z, lower=True,
+                                          check_finite=False)
+        v, r = scipy.linalg.qr(y, mode="economic", check_finite=False)
+        # v = y r^-1 and m y = z, so m v = z r^-1: the Ritz block costs a
+        # k x k solve instead of another pass over m.
+        c = scipy.linalg.solve_triangular(r, z.T, trans="T",
+                                          check_finite=False).T
+        evals, basis = np.linalg.eigh(c.T @ c)
+        vals = np.sqrt(np.maximum(evals, 0.0))
+        if prev is not None:
+            watch = min(k, int(np.count_nonzero(vals < gate)) + 1)
+            moved = np.abs(vals[:watch] - prev[:watch])
+            change = float(np.max(moved / np.maximum(prev[:watch], 1e-300)))
+            if change < _ITER_RTOL:
+                break
         prev = vals
-    evals, basis = np.linalg.eigh(g)
-    sig = np.sqrt(np.maximum(evals, 0.0))
+    else:
+        raise NotConverged(_ITER_CAP, change)
     rights = v @ basis
-    # M^-T r = u / sigma, so normalizing the solve reproduces the left
+    # m^-T r = u / sigma, so normalizing the solve reproduces the left
     # vector for any sigma > 0 without dividing by a tiny sigma.
-    lefts = scipy.linalg.lu_solve(lu, rights, trans=1, check_finite=False)
-    if not np.all(np.isfinite(lefts)):
-        return None
+    lefts = scipy.linalg.solve_triangular(m, rights, trans="T", lower=True,
+                                          check_finite=False)
     lefts /= np.linalg.norm(lefts, axis=0)
-    return sig, rights, lefts
+    return vals, rights, lefts, step
 
 
 class _ExtendedOperator:
-    """Matrix-free action of the operator on an enlarged window."""
+    """Matrix-free action of the sector block I - 2 B on a larger window."""
 
-    def __init__(self, grid: LogGrid, which: int):
+    def __init__(self, grid: LogGrid):
         self.grid = grid
-        self.off_sign = 1.0 if which == 1 else -1.0
-        x = np.exp(grid.s)
-        gauss = 2.0 * np.exp(-0.5 * x * x)
-        base = _shift_kernel(grid.N, grid.h)
-        base *= gauss[:, None]
-        self.base = base
+        self.base = _volterra(grid)
+        self.weights = grid.weights[:grid.N]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        n = self.grid.N
-        p, q = f[:n], f[n:]
-        b = self.off_sign
-        kp = self.base @ (p + b * q)
-        kq = self.base @ (b * p + q)
-        return f - np.concatenate([kp, kq])
+        return f - 2.0 * (self.base @ f)
 
     def apply_adjoint(self, g: np.ndarray) -> np.ndarray:
         # Adjoint in the weighted geometry: W^-1 A^T W.
-        w = self.grid.weights
-        n = self.grid.N
-        wg = w * g
-        p, q = wg[:n], wg[n:]
-        b = self.off_sign
-        tp = self.base.T @ p
-        tq = self.base.T @ q
-        out = wg - np.concatenate([tp + b * tq, b * tp + tq])
-        return out / w
+        wg = self.weights * g
+        return (wg - 2.0 * (self.base.T @ wg)) / self.weights
 
 
-def _extended(grid: LogGrid, which: int) -> _ExtendedOperator:
+def _extended(grid: LogGrid) -> _ExtendedOperator:
     extra = int(math.ceil(2.0 / grid.h))
     big = build_grid(grid.L + extra * grid.h, grid.N + 2 * extra)
-    return _ExtendedOperator(big, which)
-
-
-def _pad_into(big: LogGrid, small: LogGrid, v: np.ndarray) -> np.ndarray:
-    extra = (big.N - small.N) // 2
-    out = np.zeros(2 * big.N)
-    out[extra:extra + small.N] = v[:small.N]
-    out[big.N + extra:big.N + extra + small.N] = v[small.N:]
-    return out
+    return _ExtendedOperator(big)
 
 
 def _stability_residual(ext: _ExtendedOperator, small: LogGrid,
                         v: np.ndarray, adjoint: bool) -> float:
-    padded = _pad_into(ext.grid, small, v)
+    # v lives on the small grid's half-line; zero-pad it onto the window.
+    extra = (ext.grid.N - small.N) // 2
+    padded = np.zeros(ext.grid.N)
+    padded[extra:extra + small.N] = v
     image = ext.apply_adjoint(padded) if adjoint else ext.apply(padded)
-    root = np.sqrt(ext.grid.weights)
+    root = np.sqrt(ext.weights)
     return float(np.linalg.norm(root * image) /
                  np.linalg.norm(root * padded))
 
@@ -424,42 +500,40 @@ def numerical_index(op: DiscreteOperator,
                     ) -> IndexResult:
     """Fredholm data of a discretized operator.
 
-    Singular values are taken in the weighted geometry.  Candidate kernel
-    directions are the singular vectors under the threshold; each must
-    stay a near-null vector after zero-padding onto a window enlarged by
-    2 in L (same step) to count, which is what separates dim_ker from
-    dim_coker on a square truncation.  threshold_policy "relative-gap"
-    places the cut at the largest ratio jump among singular values below
-    1e-3 * sigma_max and demands that jump exceed 100 (GapTooSmall
-    otherwise); a float is used as an absolute cut instead.
+    Singular values are taken in the weighted geometry.  The matrix must
+    split by parity into a lower-triangular block on one sector and the
+    identity on the other (BadParams otherwise, see _sector); the block's
+    smallest singular triples come from inverse subspace iteration with
+    triangular solves (NotConverged if the values that feed the gap gate
+    do not settle) and are merged with the N unit singular values of the
+    identity sector.  Candidate kernel directions are the singular
+    vectors under the threshold, lifted to the 2N layout as
+    [r, s r] / sqrt(2); each must stay a near-null vector after
+    zero-padding onto a window enlarged by 2 in L (same step) to count,
+    which is what separates dim_ker from dim_coker on a square
+    truncation.  threshold_policy "relative-gap" places the cut at the
+    largest ratio jump among singular values below 1e-3 * sigma_max and
+    demands that jump exceed 100 (GapTooSmall otherwise); a float is used
+    as an absolute cut instead.
     """
-    m = _weighted_matrix(op)
-    n = m.shape[0]
-    used_full = n <= _FULL_SVD_MAX
-    if used_full:
-        u, sv, vt = np.linalg.svd(m)
-        sigma_max = float(sv[0])
-        take = min(n, _PROBE)
-        order = np.arange(n - 1, n - 1 - take, -1)
-        sig_low = sv[order]
-        rights = vt[order].T
-        lefts = u[:, order]
-    else:
-        triples = _small_triples(m, min(_PROBE, n))
-        if triples is None:
-            u, sv, vt = np.linalg.svd(m)
-            sigma_max = float(sv[0])
-            take = min(n, _PROBE)
-            order = np.arange(n - 1, n - 1 - take, -1)
-            sig_low = sv[order]
-            rights = vt[order].T
-            lefts = u[:, order]
-        else:
-            sig_low, rights, lefts = triples
-            sigma_max = _sigma_max(m)
-
-    cap = NEAR_ZERO_FACTOR * sigma_max
     fixed_cut = isinstance(threshold_policy, (int, float))
+    if not fixed_cut and threshold_policy != "relative-gap":
+        raise BadParams(f"unknown threshold policy {threshold_policy!r}")
+    sector, root = _weighted_sector(op)
+    half = op.grid.N
+    n = 2 * half
+    sigma_max = max(_sigma_max(sector), 1.0)
+    cap = NEAR_ZERO_FACTOR * sigma_max
+    gate = float(threshold_policy) if fixed_cut else cap
+    sig, rights, lefts, iterations = _sector_triples(
+        sector, min(_PROBE, half), gate)
+    del sector
+    take = min(_PROBE, n)
+    # A pool only holds values under 1: a cut above 1 takes in every unit
+    # value, fills all `take` slots and raises GapTooSmall below.  So the
+    # pool is a prefix of the sector's values and of its vectors.
+    sig_low = np.sort(np.concatenate([sig, np.ones(take)]))[:take]
+
     if fixed_cut:
         threshold = float(threshold_policy)
         pool = int(np.count_nonzero(sig_low < threshold))
@@ -473,14 +547,12 @@ def numerical_index(op: DiscreteOperator,
             gap_ratio = math.inf if low == 0.0 else float(
                 sig_low[pool] / low)
     else:
-        if threshold_policy != "relative-gap":
-            raise BadParams(
-                f"unknown threshold policy {threshold_policy!r}")
         pool = int(np.count_nonzero(sig_low < cap))
         if pool == 0:
             return IndexResult(
                 dim_ker=0, dim_coker=0, index=0, sing_vals_near_zero=(),
-                threshold=cap, gap_ratio=math.inf, sigma_max=sigma_max)
+                threshold=cap, gap_ratio=math.inf, sigma_max=sigma_max,
+                iterations=iterations)
         if pool >= len(sig_low):
             raise GapTooSmall(
                 "no spectral gap visible under 1e-3 * sigma_max; "
@@ -506,10 +578,11 @@ def numerical_index(op: DiscreteOperator,
     if pool == 0:
         return IndexResult(
             dim_ker=0, dim_coker=0, index=0, sing_vals_near_zero=(),
-            threshold=threshold, gap_ratio=gap_ratio, sigma_max=sigma_max)
+            threshold=threshold, gap_ratio=gap_ratio, sigma_max=sigma_max,
+            iterations=iterations)
 
-    root = np.sqrt(op.grid.weights)
-    ext = _extended(op.grid, op.which)
+    sign = 1.0 if op.which == 1 else -1.0
+    ext = _extended(op.grid)
     ker_vecs = []
     coker_vecs = []
     ker_res = []
@@ -519,8 +592,9 @@ def numerical_index(op: DiscreteOperator,
         ufun = lefts[:, i] / root
         ker_res.append(_stability_residual(ext, op.grid, vfun, False))
         coker_res.append(_stability_residual(ext, op.grid, ufun, True))
-        ker_vecs.append(vfun)
-        coker_vecs.append(ufun)
+        ker_vecs.append(np.concatenate([vfun, sign * vfun]) / math.sqrt(2.0))
+        coker_vecs.append(np.concatenate([ufun, sign * ufun]) /
+                          math.sqrt(2.0))
     dim_ker = sum(1 for r in ker_res if r < STABILITY_TOL)
     dim_coker = sum(1 for r in coker_res if r < STABILITY_TOL)
     return IndexResult(
@@ -528,7 +602,8 @@ def numerical_index(op: DiscreteOperator,
         sing_vals_near_zero=near, threshold=float(threshold),
         gap_ratio=float(gap_ratio), sigma_max=sigma_max,
         ker_vectors=tuple(ker_vecs), coker_vectors=tuple(coker_vecs),
-        ker_residuals=tuple(ker_res), coker_residuals=tuple(coker_res))
+        ker_residuals=tuple(ker_res), coker_residuals=tuple(coker_res),
+        iterations=iterations)
 
 
 _GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])

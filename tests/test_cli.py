@@ -226,3 +226,18 @@ class TestPlumbing:
                         "--format", "json")
         assert code == 0
         assert json.loads(path.read_text())["md4"]["family"] == "g433"
+
+
+class TestFredholm:
+    def test_non_convergence_is_reported(self, capsys, monkeypatch):
+        from orbiton import fredholm
+        monkeypatch.setattr(fredholm, "_ITER_CAP", 1)
+        code, doc = run_json(capsys, "fredholm", "--which", "1",
+                             "--L", "8", "--N", "64", "--format", "json")
+        assert code == 2
+        assert doc["status"] == "fail"
+        assert doc["error"]["type"] == "NotConverged"
+
+    def test_too_coarse_grid_is_input_error(self, capsys):
+        code, _ = run(capsys, "fredholm", "--L", "8", "--N", "16")
+        assert code == 3

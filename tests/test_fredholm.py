@@ -77,6 +77,15 @@ class TestAssembly:
         rep = fr.assemble_operator(1, grid6).compact_tail_report()
         assert rep["ratio_50_to_1"] < 0.05
 
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_compact_tail_matches_full_svd(self, which):
+        op = fr.assemble_operator(which, fr.build_grid(8.0, 64))
+        rep = op.compact_tail_report(count=128)
+        full = np.linalg.svd(op.compact_part(), compute_uv=False)
+        assert len(rep["sigma"]) == 128
+        assert np.allclose(rep["sigma"], full, rtol=0.0, atol=1e-13)
+        assert rep["k0"] == int(np.count_nonzero(full >= 1e-8))
+
 
 class TestOracle:
     def test_asymptotic_slopes(self, grid8):
@@ -161,3 +170,109 @@ class TestParity:
         assert fr.parity_check([even], 1)[0].ok
         assert not fr.parity_check([odd], 1)[0].ok
         assert fr.parity_check([odd], 2)[0].ok
+
+
+def _sector_spectrum(op, monkeypatch):
+    """The 8 smallest singular values of the sector path, all converged.
+
+    numerical_index only waits for the values that feed the gap gate;
+    watching all 8 (gate = inf) with a tighter step rule settles the
+    slowly converging ones near 1 as well.
+    """
+    monkeypatch.setattr(fr, "_ITER_CAP", 20000)
+    monkeypatch.setattr(fr, "_ITER_RTOL", 1e-13)
+    sector, _ = fr._weighted_sector(op)
+    sig = fr._sector_triples(sector, 8, np.inf)[0]
+    return np.sort(np.concatenate([sig, np.ones(8)]))[:8]
+
+
+def _full_weighted(op):
+    root = np.sqrt(op.grid.weights)
+    return (root[:, None] * op.matrix) / root[None, :]
+
+
+def _swap_symmetric_bump(op, i, j, d):
+    """Copy of op with d added at (i, j) of all four blocks: the half-swap
+    symmetry holds, A11 + A12 moves by 2d and A11 - A12 stays."""
+    n = op.grid.N
+    a = op.matrix.copy()
+    for r, c in ((i, j), (n + i, n + j), (i, n + j), (n + i, j)):
+        a[r, c] += d
+    return fr.DiscreteOperator(grid=op.grid, matrix=a, which=op.which)
+
+
+class TestSector:
+    @pytest.mark.parametrize("N", (64, 128))
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_smallest_values_match_dense_svd(self, which, N, monkeypatch):
+        op = fr.assemble_operator(which, fr.build_grid(8.0, N))
+        dense = np.linalg.svd(_full_weighted(op), compute_uv=False)[::-1]
+        r = fr.numerical_index(op)
+        # the values the gap gate reads: the kernel value and the next one
+        assert len(r.sing_vals_near_zero) == 1
+        gate = [r.sing_vals_near_zero[0],
+                r.sing_vals_near_zero[0] * r.gap_ratio]
+        assert np.allclose(gate, dense[:2], rtol=1e-9, atol=0.0)
+        got = _sector_spectrum(op, monkeypatch)
+        assert np.allclose(got, dense[:8], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_full_spectrum_is_sector_plus_ones(self, which):
+        op = fr.assemble_operator(which, fr.build_grid(8.0, 64))
+        full = np.linalg.svd(_full_weighted(op), compute_uv=False)
+        sector, _ = fr._weighted_sector(op)
+        split = np.sort(np.concatenate([
+            np.linalg.svd(sector, compute_uv=False), np.ones(64)]))[::-1]
+        assert np.allclose(full, split, rtol=1e-12, atol=1e-13)
+
+    def test_s1_and_s2_sectors_bitwise_equal(self, grid6):
+        s1 = fr._sector(fr.assemble_operator(1, grid6))
+        s2 = fr._sector(fr.assemble_operator(2, grid6))
+        assert np.array_equal(s1, s2)
+        assert not np.any(np.triu(s1, 1))
+
+    def test_broken_half_swap_symmetry(self):
+        op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
+        a = op.matrix.copy()
+        a[3, 1] += 1e-3
+        bad = fr.DiscreteOperator(grid=op.grid, matrix=a, which=1)
+        with pytest.raises(fr.BadParams, match="half swap.*0.001"):
+            fr.numerical_index(bad)
+
+    def test_other_sector_not_identity(self):
+        op = fr.assemble_operator(2, fr.build_grid(8.0, 64))
+        # the sector of which=2 is A11 - A12; the bump moves the other
+        bad = _swap_symmetric_bump(op, 3, 1, 1e-3)
+        with pytest.raises(fr.BadParams, match="not the identity.*0.002"):
+            fr.numerical_index(bad)
+
+    def test_sector_not_lower_triangular(self):
+        op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
+        bad = _swap_symmetric_bump(op, 1, 3, 1e-3)
+        with pytest.raises(fr.BadParams, match="lower-triangular.*0.002"):
+            fr.numerical_index(bad)
+
+    def test_exactly_singular_sector(self):
+        # A11 = (I + T)/2, A12 = (T - I)/2: sector T is strictly lower
+        # triangular, the other sector is exactly I
+        g = fr.build_grid(8.0, 64)
+        t = np.tril(np.ones((64, 64)), -1)
+        eye = np.eye(64)
+        a = np.block([[(eye + t) / 2, (t - eye) / 2],
+                      [(t - eye) / 2, (eye + t) / 2]])
+        op = fr.DiscreteOperator(grid=g, matrix=a, which=1)
+        with pytest.raises(fr.BadParams, match="exactly singular"):
+            fr.numerical_index(op)
+
+    def test_iteration_cap_fails_closed(self, monkeypatch):
+        op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
+        monkeypatch.setattr(fr, "_ITER_CAP", 1)
+        with pytest.raises(fr.NotConverged) as info:
+            fr.numerical_index(op)
+        assert info.value.iterations == 1
+        assert isinstance(info.value, fr.FredholmError)
+
+    def test_iterations_recorded_outside_json(self, grid6):
+        r = fr.numerical_index(fr.assemble_operator(1, grid6))
+        assert 2 <= r.iterations <= fr._ITER_CAP
+        assert "iterations" not in r.to_json()
