@@ -1,4 +1,4 @@
-"""Recognition of solvable normal forms; exponentiality test.
+"""Recognition of solvable normal forms, MD-bar tags and exponentiality.
 
 classify_md4 takes a four-dimensional solvable algebra in an arbitrary
 basis and identifies which normal-form family it belongs to, recovering
@@ -9,6 +9,12 @@ table is compared entry by entry against the target family table.  An
 algebra whose candidate construction fails that comparison is reported
 as NotMD4 rather than mislabeled, so false positives require a numerical
 coincidence across all sixteen transformed structure constants.
+
+classify_md_bar decides the MD-bar class (R^n, aff(R), aff(C)) from the
+dimensions of g and [g, g] and, for aff(C), from classify_md4.
+is_exponential applies Dixmier's criterion (Bull. SMF 85 (1957) 113-121)
+to the weights of g.  All three decisions are deterministic: nothing in
+this module is sampled.
 """
 
 from __future__ import annotations
@@ -18,19 +24,20 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import schur
 
 from . import families
 from .lie_core import (
     DimensionMismatch,
     LieAlgebra,
     LieAlgebraError,
-    RANK_RTOL,
     Subspace,
     ad_matrix,
     bracket,
     change_basis,
     derived_series_length,
     derived_subalgebra,
+    noise_floor,
     numeric_rank,
 )
 
@@ -60,13 +67,10 @@ VERIFY_RTOL = 1e-6
 # is only accepted when the candidates lie within this radius of their mean.
 EIG_SCATTER_CAP = 1e-3
 
-# Purely-imaginary detection for exponentiality.
-EXP_RE_ATOL = 1e-10
-EXP_IM_ATOL = 1e-8
-
-MD_SPOT_FUNCTIONALS = 200
-MDBAR_RANDOM_DIRECTIONS = 200
-EXP_RANDOM_DIRECTIONS = 500
+# Weights for exponentiality, relative to the largest entry of the actions
+# they are read from: a real part below this is zero, and an imaginary part
+# within this of the real line through the real part lies on it.
+WEIGHT_RTOL = 1e-6
 
 
 class NotSolvableError(LieAlgebraError):
@@ -127,17 +131,6 @@ class MD4Label:
 
 def _is_solvable(g: LieAlgebra) -> bool:
     return derived_series_length(g) is not None
-
-
-def _md_spot_check(g: LieAlgebra, rng: np.random.Generator,
-                   n: int = MD_SPOT_FUNCTIONALS) -> bool:
-    """All nonzero Kirillov ranks over random functionals must agree."""
-    fs = rng.standard_normal((n, g.dim))
-    forms = np.einsum("ijk,nk->nij", g.c, fs)
-    s = np.linalg.svd(forms, compute_uv=False)
-    tol = g.dim * s[:, 0] * RANK_RTOL
-    ranks = (s > tol[:, None]).sum(axis=1)
-    return len({int(r) for r in ranks if r > 0}) <= 1
 
 
 def _restricted_ad(g: LieAlgebra, sub: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -583,17 +576,15 @@ def classify_md4(g: LieAlgebra, seed: int = 0) -> MD4Label:
     Returns an MD4Label whose family is one of the twelve g4xx names,
     DecomposableRnPlus (abelian input), or NotMD4.  Raises NotSolvableError
     when the derived series does not vanish and DegenerateJordanError when
-    the eigenvalue structure sits on a tolerance boundary.
+    the eigenvalue structure sits on a tolerance boundary.  Every label but
+    NotMD4 has passed the bracket-table comparison against its normal form,
+    and every normal form is an MD algebra, so no separate MD test runs.
+    ``seed`` is accepted and ignored: the recognizer draws nothing at random.
     """
     if g.dim != 4:
         raise DimensionMismatch(f"classify_md4 needs dim 4, got {g.dim}")
     if not _is_solvable(g):
         raise NotSolvableError("derived series does not reach zero")
-    rng = np.random.default_rng(seed)
-    if not _md_spot_check(g, rng):
-        return MD4Label("NotMD4",
-                        reason="coadjoint orbits of two different nonzero "
-                               "dimensions found")
 
     scale = 1.0 + float(np.abs(g.c).max())
     W = derived_subalgebra(g)
@@ -614,61 +605,146 @@ def classify_md4(g: LieAlgebra, seed: int = 0) -> MD4Label:
     return MD4Label("NotMD4", reason="derived subalgebra fills the algebra")
 
 
-def is_md_bar(g: LieAlgebra, seed: int = 0,
-              n_random: int = MDBAR_RANDOM_DIRECTIONS):
-    """Whether [X, g] equals the derived subalgebra for every nonzero X.
+def _md_bar_witness(g: LieAlgebra, W: Subspace) -> Optional[np.ndarray]:
+    """First X with dim [X, g] < dim [g, g], or None.
 
-    Sampled over basis directions plus random unit vectors; returns
-    (ok, witness) with the offending X when the criterion fails.
+    Candidates in order: the standard basis, an orthonormal basis of
+    [g, g], a basis of the center.  Ranks use the absolute noise floor, so
+    an ad_X made of roundoff alone has rank zero.
     """
-    W = derived_subalgebra(g)
-    if W.dim == 0:
-        return True, None
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(g.dim)[i] for i in range(g.dim)]
-    extra = rng.standard_normal((n_random, g.dim))
-    extra /= np.linalg.norm(extra, axis=1)[:, None]
-    for x in [*dirs, *extra]:
-        img = Subspace.from_columns(ad_matrix(g, x), g.dim)
-        if img.dim != W.dim or not W.contains_subspace(img, rtol=1e-8):
-            return False, x
-    return True, None
+    floor = noise_floor(g)
+    center = Subspace.from_columns(g.c.reshape(g.dim, -1), g.dim,
+                                   atol=floor).orthogonal_complement()
+    for x in (*np.eye(g.dim), *W.basis_matrix.T, *center.basis_matrix.T):
+        img = Subspace.from_columns(ad_matrix(g, x), g.dim, atol=floor)
+        if img.dim < W.dim:
+            return x
+    return None
 
 
-def classify_md_bar(g: LieAlgebra, seed: int = 0) -> MDBarLabel:
-    """Sort an algebra into Abelian / AffR / AffC / NotMDBar."""
+def classify_md_bar(g: LieAlgebra) -> MDBarLabel:
+    """Sort an algebra into Abelian / AffR / AffC / NotMDBar.
+
+    The MD-bar algebras are R^n, aff(R) and aff(C): the tag is Abelian when
+    [g, g] = 0, AffR in dimension 2, AffC when dim g = 4, dim [g, g] = 2 and
+    classify_md4 finds g424, and NotMDBar otherwise.  A NotMDBar label
+    carries the witness of _md_bar_witness, which may be None.
+    """
     W = derived_subalgebra(g)
     if W.dim == 0:
         return MDBarLabel("Abelian")
-    ok, witness = is_md_bar(g, seed=seed)
-    if not ok:
-        return MDBarLabel("NotMDBar", witness=witness)
-    if g.dim == 2 and W.dim == 1:
+    if g.dim == 2:
         return MDBarLabel("AffR")
     if g.dim == 4 and W.dim == 2:
         try:
-            label = classify_md4(g, seed=seed)
+            if classify_md4(g).family == "g424":
+                return MDBarLabel("AffC")
         except (NotSolvableError, DegenerateJordanError):
-            return MDBarLabel("NotMDBar")
-        if label.family == "g424":
-            return MDBarLabel("AffC")
-    return MDBarLabel("NotMDBar")
+            pass
+    return MDBarLabel("NotMDBar", witness=_md_bar_witness(g, W))
 
 
-def is_exponential(g: LieAlgebra, seed: int = 0,
-                   n_random: int = EXP_RANDOM_DIRECTIONS):
-    """Whether no sampled ad_U carries a purely imaginary eigenvalue.
+def is_md_bar(g: LieAlgebra):
+    """(ok, witness): whether g is MD-bar, with classify_md_bar's witness."""
+    label = classify_md_bar(g)
+    return label.tag != "NotMDBar", label.witness
 
-    Checks basis directions plus random unit vectors U; an eigenvalue with
-    |Re| < 1e-10 and |Im| > 1e-8 disqualifies, and that U is the witness.
+
+def _merge_repeated(acts: np.ndarray, diag: np.ndarray,
+                    top: float) -> list[np.ndarray]:
+    """Average the diagonal rows that are one repeated weight.
+
+    A defective weight comes out of the Schur form as rows that scatter
+    like a root of the entry noise, while their mean stays accurate.  Rows
+    within EIG_SCATTER_CAP * top of the first row left are one weight when
+    every action minus their mean has smallest singular value below
+    JORDAN_GAP_RTOL * top / BORDERLINE_FACTOR, and distinct weights above
+    JORDAN_GAP_RTOL * top.  In between, entry noise and a genuine coupling
+    cannot be told apart, and DegenerateJordanError is raised.
     """
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(g.dim)[i] for i in range(g.dim)]
-    extra = rng.standard_normal((n_random, g.dim))
-    extra /= np.linalg.norm(extra, axis=1)[:, None]
-    for u in [*dirs, *extra]:
-        ev = np.linalg.eigvals(ad_matrix(g, u))
-        bad = (np.abs(ev.real) < EXP_RE_ATOL) & (np.abs(ev.imag) > EXP_IM_ATOL)
-        if bad.any():
-            return False, u
+    eye = np.eye(acts.shape[1])
+    cut = JORDAN_GAP_RTOL * top
+    left = list(range(len(diag)))
+    out = []
+    while left:
+        near = [j for j in left if np.abs(diag[j] - diag[left[0]]).max()
+                <= EIG_SCATTER_CAP * top]
+        if len(near) > 1:
+            mean = diag[near].mean(axis=0)
+            smin = float(np.linalg.svd(acts - mean[:, None, None] * eye,
+                                       compute_uv=False)[:, -1].max())
+            if cut / BORDERLINE_FACTOR < smin <= cut:
+                raise DegenerateJordanError(
+                    f"repeated weight with rank gap {smin:.3e} inside the "
+                    f"ambiguity band ({cut / BORDERLINE_FACTOR:.3e}, "
+                    f"{cut:.3e}]", {"gap": smin, "cut": cut})
+            if smin > cut:
+                near = near[:1]
+        out.append(diag[near].mean(axis=0))
+        left = [j for j in left if j not in near]
+    return out
+
+
+def _weights(g: LieAlgebra, W: Subspace, V: np.ndarray):
+    """Weights of g as rows lambda_j(V e_k), and the largest action entry.
+
+    Walks the lower central series C -> [W, C] of W = [g, g].  On each step
+    C/[W, C] the actions of the columns of V commute, so the complex Schur
+    basis of one combination of them triangularizes all of them, and the
+    weights are the diagonals, repeated ones merged by _merge_repeated.
+    """
+    floor = noise_floor(g)
+    ads = np.einsum("im,ijk->mkj", V, g.c)  # ad of each column of V
+    # Fixed coefficients sqrt(2), sqrt(3), 2, sqrt(5), ...: up to four they
+    # are independent over Q, so distinct integer weights stay distinct.
+    mix = np.sqrt(np.arange(2.0, V.shape[1] + 2.0))
+    rows, scale = [], 0.0
+    C = W
+    while C.dim:
+        cols = np.einsum("ia,jb,ijk->kab", W.basis_matrix, C.basis_matrix,
+                         g.c).reshape(g.dim, -1)
+        nxt = Subspace.from_columns(cols, g.dim, atol=floor)
+        if nxt.dim >= C.dim:
+            raise NotSolvableError("[g, g] is not nilpotent")
+        q = Subspace.from_columns(C.basis_matrix - nxt.project(C.basis_matrix),
+                                  g.dim).basis_matrix
+        acts = q.T @ ads @ q
+        _, z = schur(np.tensordot(mix, acts, axes=1), output="complex")
+        tri = z.conj().T @ acts @ z
+        top = float(np.abs(tri).max())
+        low = float(np.abs(np.tril(tri, -1)).max())
+        if low > VERIFY_RTOL * top:
+            raise DegenerateJordanError(
+                f"the Schur basis leaves a strictly lower part {low:.3e} "
+                f"against the largest entry {top:.3e}",
+                {"lower": low, "top": top})
+        rows += _merge_repeated(acts, np.diagonal(tri, axis1=1, axis2=2).T,
+                                top)
+        scale = max(scale, top)
+        C = nxt
+    return rows, scale
+
+
+def is_exponential(g: LieAlgebra):
+    """Dixmier's criterion: g is exponential iff no weight turns imaginary.
+
+    A weight lambda of the solvable algebra g vanishes on [g, g]; g is
+    exponential iff Im lambda lies in R Re lambda for every weight (up to
+    WEIGHT_RTOL relative to the largest action entry).  Returns (ok,
+    witness): for the first weight that fails, x is Im lambda minus its
+    projection on Re lambda (Im lambda itself when Re lambda is zero), and
+    the witness V x has the purely imaginary eigenvalue i |x|^2 under ad.
+    Raises NotSolvableError when [g, g] is not nilpotent, and
+    DegenerateJordanError when the Schur basis fails to triangularize or
+    a repeated weight sits in the ambiguity band of _merge_repeated.
+    """
+    W = derived_subalgebra(g)
+    V = W.orthogonal_complement().basis_matrix
+    weights, scale = _weights(g, W, V)
+    tol = WEIGHT_RTOL * scale
+    for lam in weights:
+        a, b = lam.real, lam.imag
+        x = b - (b @ a) / (a @ a) * a if np.linalg.norm(a) > tol else b
+        if np.linalg.norm(x) > tol:
+            return False, V @ x
     return True, None

@@ -162,7 +162,10 @@ def run_classify(cfg: RunConfig):
     code = EXIT_OK
     if g.dim == 4:
         try:
-            label = _classify.classify_md4(g, seed=cfg.seed)
+            label = _classify.classify_md4(g)
+            if label.family != "NotMD4":
+                exp_ok, _ = _classify.is_exponential(g)
+                report["exponential"] = bool(exp_ok)
         except (_classify.NotSolvableError,
                 _classify.DegenerateJordanError) as exc:
             report["md4"] = {"error": type(exc).__name__, "detail": str(exc)}
@@ -173,10 +176,7 @@ def run_classify(cfg: RunConfig):
         if label.family == "NotMD4":
             report["status"] = "fail"
             code = EXIT_CHECK_FAILED
-        else:
-            exp_ok, _ = _classify.is_exponential(g, seed=cfg.seed)
-            report["exponential"] = bool(exp_ok)
-    bar = _classify.classify_md_bar(g, seed=cfg.seed)
+    bar = _classify.classify_md_bar(g)
     report["md_bar"] = bar.to_json()
     return report, code
 
@@ -636,7 +636,7 @@ def run_all(cfg: RunConfig):
     verdicts = []
     for name in _families.FAMILY_ORDER:
         g = _families.build_family(name)
-        label = _classify.classify_md4(g, seed=rng_seed)
+        label = _classify.classify_md4(g)
         verdicts.append({"family": name, "got": label.family,
                          "ok": label.family == name})
     bar = {

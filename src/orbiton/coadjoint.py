@@ -21,12 +21,14 @@ import numpy as np
 from .lie_core import (
     DimensionMismatch,
     LieAlgebra,
+    LieAlgebraError,
     Subspace,
     exp_ad,
     numeric_rank,
 )
 
 __all__ = [
+    "OddKirillovRank",
     "KirillovForm",
     "GroupWord",
     "OrbitSample",
@@ -39,6 +41,10 @@ __all__ = [
     "sample_orbit",
     "stratify",
 ]
+
+
+class OddKirillovRank(LieAlgebraError):
+    """The Kirillov form has odd numerical rank, so it is not skew."""
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,11 @@ def kirillov_form(g: LieAlgebra, F: Sequence[float]) -> KirillovForm:
 def orbit_dimension(g: LieAlgebra, F: Sequence[float]) -> int:
     """Rank of the Kirillov form at F.  Always even."""
     r = kirillov_form(g, F).rank
-    # Skew forms have even rank; a failure here means the rank tolerance
-    # split a conjugate singular-value pair, which the uniform SVD rule
-    # is designed to avoid.
-    assert r % 2 == 0, f"odd numerical rank {r} for a skew form"
+    # Skew forms have even rank; an odd one means the structure constants
+    # are not antisymmetric or the rank tolerance split a conjugate
+    # singular-value pair, which the uniform SVD rule is designed to avoid.
+    if r % 2:
+        raise OddKirillovRank(f"odd numerical rank {r} for a skew form")
     return r
 
 
@@ -204,11 +211,9 @@ def sample_orbit(g: LieAlgebra, F: Sequence[float], n: int,
     for row in range(n):
         w = random_word(g, rng, length=word_length, step_scale=step_scale)
         pts[row] = coadjoint_flow(g, f, w)
-    # Tangent span at the base: rows of B_F.  Its rank is the orbit
-    # dimension by construction, asserted rather than recomputed.
+    # Tangent span at the base: rows of B_F, whose rank is the orbit
+    # dimension.
     est = orbit_dimension(g, f)
-    tangents = kirillov_form(g, f).matrix
-    assert numeric_rank(tangents) == est
     return OrbitSample(base=f, points=pts, est_dim=est, seed=seed)
 
 

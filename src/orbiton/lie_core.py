@@ -30,6 +30,7 @@ __all__ = [
     "derived_subalgebra",
     "derived_series_length",
     "numeric_rank",
+    "noise_floor",
     "load_algebra_json",
     "algebra_to_json",
 ]
@@ -161,6 +162,11 @@ def exp_ad(g: LieAlgebra, u) -> np.ndarray:
     return expm(ad_matrix(g, u))
 
 
+def noise_floor(g: LieAlgebra) -> float:
+    """Absolute singular-value floor for columns that may be pure roundoff."""
+    return 1e-10 * (1.0 + float(np.abs(g.c).max()))
+
+
 def numeric_rank(m: np.ndarray, scale_dim: int | None = None) -> int:
     """Rank by singular values with tolerance dim * sigma_max * 1e-10."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -250,7 +256,7 @@ def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    noise_floor = 1e-10 * (1.0 + float(np.abs(g.c).max()))
+    floor = noise_floor(g)
     current = Subspace.full(g.dim)
     for _ in range(k):
         b = current.basis_matrix
@@ -265,7 +271,7 @@ def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:
         if not cols:
             return Subspace.zero(g.dim)
         current = Subspace.from_columns(np.column_stack(cols), g.dim,
-                                        atol=noise_floor)
+                                        atol=floor)
     return current
 
 

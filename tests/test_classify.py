@@ -15,6 +15,35 @@ def _set_bracket(c, i, j, k, v):
     c[j, i, k] = -v
 
 
+def _algebra(n, table):
+    c = np.zeros((n, n, n))
+    for i, j, k, v in table:
+        _set_bracket(c, i, j, k, v)
+    return lc.validate_algebra(c)
+
+
+def _n4():
+    # Filiform [T, X] = Y, [T, Y] = Z: nilpotent, ad_T on [g, g] is one
+    # Jordan block at zero.
+    return _algebra(4, [(3, 0, 1, 1.0), (3, 1, 2, 1.0)])
+
+
+def _exponentiality_cases():
+    cases = [(name, g) for name, _, g in family_fixtures()]
+    cases.append(("g423(pi/2)", families.build_family("g423", math.pi / 2)))
+    cases.append(("g434(2,pi/2)",
+                  families.build_family("g434", 2.0, math.pi / 2)))
+    cases.append(("n4", _n4()))
+    return cases
+
+
+def _assert_imaginary_witness(g, witness):
+    ev = np.linalg.eigvals(lc.ad_matrix(g, np.asarray(witness)))
+    top = np.abs(ev).max()
+    im = ev[np.abs(ev.real) < 1e-8 * top]
+    assert im.size and np.abs(im.imag).max() > 1e-3 * top, ev
+
+
 class TestFixtures:
     def test_default_fixtures_recognized(self):
         for name, params, g in family_fixtures():
@@ -96,6 +125,19 @@ class TestRejections:
         with pytest.raises(lc.DimensionMismatch):
             classify.classify_md4(families.heisenberg3())
 
+    def test_aff_r_squared(self):
+        # aff(R) + aff(R): [X1, Y1] = Y1, [X2, Y2] = Y2.  Its coadjoint
+        # orbits have dimensions 0, 2 and 4, so it is not MD, and it is
+        # exponential.
+        g = _algebra(4, [(0, 1, 1, 1.0), (2, 3, 3, 1.0)])
+        assert classify.classify_md4(g).family == "NotMD4"
+        bar = classify.classify_md_bar(g)
+        assert bar.tag == "NotMDBar"
+        assert bar.witness is not None
+        assert lc.numeric_rank(lc.ad_matrix(g, bar.witness)) < 2
+        ok, witness = classify.is_exponential(g)
+        assert ok and witness is None
+
 
 class TestMdBar:
     def test_labels(self):
@@ -111,6 +153,18 @@ class TestMdBar:
         h = families.heisenberg3()
         w = np.asarray(witness, dtype=float)
         assert np.abs(lc.ad_matrix(h, w)).max() < 1e-12
+        # In a generic basis no standard vector is central.  The center of
+        # h3 lies in [g, g]; that of g412 = aff(R) + R^2 does not.
+        rng = np.random.default_rng(44)
+        for g in (h, families.build_family("g412")):
+            for _ in range(100):
+                hp = lc.change_basis(g, random_gl(rng, n=g.dim))
+                ok, witness = classify.is_md_bar(hp)
+                assert not ok
+                w = np.asarray(witness, dtype=float)
+                floor = (1e-10 * (1.0 + np.abs(hp.c).max())
+                         * np.linalg.norm(w))
+                assert np.abs(lc.ad_matrix(hp, w)).max() <= floor
 
     def test_md_bar_invariant_under_basis_change(self):
         rng = np.random.default_rng(43)
@@ -140,13 +194,17 @@ class TestExponential:
             ("g434", (2.0, math.pi / 2)),
             ("g441", ()),
         )
-        for name, params in cases:
-            ok, witness = classify.is_exponential(
-                families.build_family(name, *params))
+        algebras = [families.build_family(name, *params)
+                    for name, params in cases]
+        # e(2): [T, X] = Y, [T, Y] = -X; the oscillator adds [X, Y] = Z.
+        algebras.append(_algebra(3, [(2, 0, 1, 1.0), (2, 1, 0, -1.0)]))
+        algebras.append(_algebra(4, [(3, 0, 1, 1.0), (3, 1, 0, -1.0),
+                                     (0, 1, 2, 1.0)]))
+        for g in algebras:
+            ok, witness = classify.is_exponential(g)
             assert not ok
             # the witness direction must have a purely imaginary
             # eigenvalue pair
-            g = families.build_family(name, *params)
             eig = np.linalg.eigvals(lc.ad_matrix(g, np.asarray(witness)))
             im = eig[np.abs(eig.real) < 1e-8 * (1 + np.abs(eig).max())]
             assert np.abs(im.imag).max() > 1e-8
@@ -157,3 +215,58 @@ class TestExponential:
                 continue
             ok, _ = classify.is_exponential(g)
             assert ok, name
+
+    def test_verdict_invariant_under_basis_change(self):
+        rng = np.random.default_rng(45)
+        for name, g in _exponentiality_cases():
+            want, _ = classify.is_exponential(g)
+            for k in range(100):
+                h = lc.change_basis(g, random_gl(rng))
+                ok, witness = classify.is_exponential(h)
+                assert ok == want, (name, k)
+                if not ok:
+                    _assert_imaginary_witness(h, witness)
+
+    def test_verdict_invariant_under_scaling(self):
+        for name, g in _exponentiality_cases():
+            want, _ = classify.is_exponential(g)
+            for e in range(-8, 9):
+                h = lc.LieAlgebra(dim=4, c=g.c * 10.0 ** e)
+                ok, witness = classify.is_exponential(h)
+                assert ok == want, (name, e)
+                if not ok:
+                    _assert_imaginary_witness(h, witness)
+
+    def test_jordan_noise_is_not_a_rotation(self):
+        # Noise of 1e-11 on n4's nilpotent Jordan block, the roundoff of a
+        # cond-1e3 basis change, splits its zero weight into a pair about
+        # 3e-6 apart that may be imaginary; the pair is one zero weight.
+        rng = np.random.default_rng(46)
+        c = _n4().c
+        for _ in range(20):
+            e = rng.standard_normal((4, 4, 4)) * 1e-11
+            h = lc.LieAlgebra(dim=4, c=c + e - np.swapaxes(e, 0, 1))
+            ok, _ = classify.is_exponential(h)
+            assert ok
+
+    def test_untriangularized_actions_raise(self, monkeypatch):
+        # A basis that does not triangularize the actions must not be read.
+        def identity_basis(m, output):
+            return m, np.eye(m.shape[0])
+
+        monkeypatch.setattr(classify, "schur", identity_basis)
+        h = lc.change_basis(families.build_family("g424"),
+                            random_gl(np.random.default_rng(47)))
+        with pytest.raises(classify.DegenerateJordanError):
+            classify.is_exponential(h)
+
+    def test_skewed_rotation_fails_closed(self):
+        # Skewing the rotation plane of g424 by s makes the coupling that
+        # separates its weights i and -i about 1/s^2 of the largest entry,
+        # like the noise on a Jordan block: inside the ambiguity band the
+        # test must raise rather than merge the pair into one real weight.
+        g = families.build_family("g424")
+        for s in (5e3, 1e4):
+            h = lc.change_basis(g, np.diag([1.0, 1.0, s, 1.0]))
+            with pytest.raises(classify.DegenerateJordanError):
+                classify.is_exponential(h)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from orbiton import cli
+from orbiton import classify, cli
 
 
 def run(capsys, *argv):
@@ -66,6 +66,18 @@ class TestClassify:
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "classify", "/nonexistent/path.json")
         assert code == 3
+
+    def test_degenerate_exponentiality_fails_with_exit_2(self, capsys,
+                                                          monkeypatch):
+        def degenerate(g):
+            raise classify.DegenerateJordanError("weights not separated")
+
+        monkeypatch.setattr(classify, "is_exponential", degenerate)
+        code, rep = run_json(capsys, "classify", "real-diamond",
+                             "--format", "json")
+        assert code == 2
+        assert rep["status"] == "fail"
+        assert rep["md4"]["error"] == "DegenerateJordanError"
 
     def test_non_md4_fails_with_exit_2(self, capsys, tmp_path):
         doc = {"dim": 4, "brackets": [

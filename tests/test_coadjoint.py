@@ -1,7 +1,15 @@
 """Kirillov form, orbit flow, sampling, and rank stratification."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import orbiton
 from orbiton import coadjoint as co, families, lie_core as lc
 
 from conftest import family_fixtures
@@ -43,6 +51,43 @@ class TestKirillovForm:
     def test_zero_functional_has_point_orbit(self):
         for name, params, g in family_fixtures():
             assert co.orbit_dimension(g, np.zeros(4)) == 0
+
+    # Structure constants with [X0, X1] = X0 but no [X1, X0] entry, built
+    # without validate_algebra: B_F at F = (1, 0, 0) has rank one.
+    NON_SKEW = textwrap.dedent("""
+        import numpy as np
+        from orbiton import coadjoint as co, lie_core as lc
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 0] = 1.0
+        g = lc.LieAlgebra(dim=3, c=c)
+        F = [1.0, 0.0, 0.0]
+    """)
+
+    def test_odd_rank_raises(self):
+        scope = {}
+        exec(self.NON_SKEW, scope)
+        g, F = scope["g"], scope["F"]
+        with pytest.raises(co.OddKirillovRank):
+            co.orbit_dimension(g, F)
+        with pytest.raises(lc.LieAlgebraError):
+            co.sample_orbit(g, F, 3, seed=0)
+
+    def test_odd_rank_raises_under_optimize(self):
+        script = self.NON_SKEW + textwrap.dedent("""
+            assert False, "asserts must be stripped"
+            try:
+                co.orbit_dimension(g, F)
+            except co.OddKirillovRank:
+                print("raised")
+        """)
+        src = str(Path(orbiton.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestFlow:
