@@ -20,7 +20,7 @@ from . import families
 from .classify import MD4Label, NotSolvableError, DegenerateJordanError, classify_md4
 from .coadjoint import (
     OrbitSample,
-    coadjoint_flow,
+    _step_exponentials,
     kirillov_form,
     orbit_dimension,
     sample_orbit,
@@ -638,6 +638,10 @@ def check_tangency(spec: DistributionSpec, sample: OrbitSample,
     """
     if g is None:
         g = families.build_family(spec.family, *spec.params)
+    # exps[0, k] = exp(step·ad_{X_k}), exps[1, k] = exp(-step·ad_{X_k}):
+    # the same matrices for every point.
+    exps = _step_exponentials(g, np.tile(np.arange(g.dim), (2, 1)),
+                              np.repeat([[step], [-step]], g.dim, axis=1))
     worst = 0.0
     for p in np.atleast_2d(sample.points):
         if stratum_of(spec.family, p, spec.params) == _POINT_STRATUM:
@@ -646,9 +650,7 @@ def check_tangency(spec: DistributionSpec, sample: OrbitSample,
         span = Subspace.from_columns(
             np.column_stack([f(p) for f in spec.fields_]), 4)
         for k in range(g.dim):
-            fwd = coadjoint_flow(g, p, [(k, step)])
-            back = coadjoint_flow(g, p, [(k, -step)])
-            v = (fwd - back) / (2.0 * step)
+            v = (p @ exps[0, k] - p @ exps[1, k]) / (2.0 * step)
             resid = span.residual(v) / (1.0 + float(np.linalg.norm(v)))
             worst = max(worst, resid)
     return worst

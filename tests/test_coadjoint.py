@@ -101,6 +101,14 @@ class TestFlow:
             back = co.coadjoint_flow(g, forward, inverse)
             assert np.abs(back - F).max() < 1e-10
 
+    def test_generator_index_out_of_range_raises(self):
+        # -1 must not wrap around to the last generator.
+        g = families.build_family("g441")
+        F = np.array([0.3, -0.7, 1.1, 0.2])
+        for bad in (-1, g.dim):
+            with pytest.raises(IndexError):
+                co.coadjoint_flow(g, F, [(0, 0.5), (bad, 0.25)])
+
     def test_single_step_matches_exp_ad(self):
         g = families.build_family("g441")
         F = np.array([0.3, -0.7, 1.1, 0.2])
@@ -153,6 +161,48 @@ class TestSampling:
         a = co.sample_orbit(g, F, 10, seed=5)
         b = co.sample_orbit(g, F, 10, seed=5)
         assert np.array_equal(a.points, b.points)
+
+    def test_rows_are_flows_of_the_drawn_words(self):
+        seed = 41
+        for name, params, g in family_fixtures():
+            F = np.array([0.6, -1.2, 0.8, 0.3])
+            sample = co.sample_orbit(g, F, 12, seed=seed)
+            rng = np.random.default_rng(seed)
+            for row in sample.points:
+                flowed = co.coadjoint_flow(g, F, co.random_word(g, rng))
+                assert row.tobytes() == flowed.tobytes(), name
+
+    def test_prefix_does_not_depend_on_n(self):
+        g = families.build_family("g424")
+        F = np.array([0.0, 1.0, 0.5, 0.3])
+        full = co.sample_orbit(g, F, 40, seed=42).points
+        for m in (1, 7, 39):
+            head = co.sample_orbit(g, F, m, seed=42).points
+            assert head.tobytes() == full[:m].tobytes()
+
+    def test_prefix_across_a_block_boundary(self):
+        # Rows are evaluated in blocks of _BLOCK_STEPS // word length; the
+        # points must not depend on where a block ends.
+        g = families.build_family("g442")
+        F = np.array([1.0, 1.0, 1.0, 0.0])
+        block = co._BLOCK_STEPS // (2 * g.dim)
+        full = co.sample_orbit(g, F, block + 3, seed=43).points
+        for m in (block - 1, block, block + 1):
+            head = co.sample_orbit(g, F, m, seed=43).points
+            assert head.tobytes() == full[:m].tobytes()
+        rng = np.random.default_rng(43)
+        words = [co.random_word(g, rng) for _ in range(block + 3)]
+        for r in (block - 1, block, block + 2):
+            flowed = co.coadjoint_flow(g, F, words[r])
+            assert full[r].tobytes() == flowed.tobytes()
+
+    def test_empty_or_still_words_give_the_base(self):
+        g = families.build_family("g434")
+        F = np.array([0.2, -0.5, 1.5, 0.7])
+        for kwargs in ({"word_length": 0}, {"step_scale": 0.0}):
+            sample = co.sample_orbit(g, F, 6, seed=44, **kwargs)
+            assert sample.points.shape == (6, 4)
+            assert np.array_equal(sample.points, np.tile(F, (6, 1)))
 
     def test_first_coordinate_constant_on_g421_orbits(self):
         # The first dual coordinate is a Casimir for this family: every

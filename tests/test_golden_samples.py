@@ -5,7 +5,9 @@ stratum with two seeded bases and 200 points each, drawn the way the
 benchmark's ``orbit-atlas`` workload draws them, plus the point clouds of
 one ``family_atlas``.  The digests were taken from the per-step
 ``expm`` loop that the batched evaluation replaced.  A new evaluation
-must reproduce them; they are not regenerated.
+must reproduce them; they are not regenerated.  They hold for the builds
+they were taken with (numpy 2.4, scipy 1.17, OpenBLAS on x86-64); another
+BLAS or libm may change last bits.
 """
 
 import hashlib
