@@ -77,6 +77,9 @@ _PROBE = 8
 # closed after _ITER_CAP steps.
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
+# Rows of each half that one step of the sector pass reads; its scratch
+# block is _SECTOR_ROWS x N.
+_SECTOR_ROWS = 64
 
 
 class FredholmError(Exception):
@@ -155,50 +158,52 @@ def build_grid(L: float, N: int) -> LogGrid:
     return LogGrid(L=L, N=N, s=s, nodes=nodes, weights=weights)
 
 
-def _u_weights(k: int, h: float) -> np.ndarray:
-    """Positive quadrature weights for int_0^{kh} in steps of h.
-
-    Composite Simpson, with a 3/8 block absorbing an odd panel count;
-    a single panel falls back to the trapezoid.  Fourth order for k >= 2.
-    """
-    if k == 0:
-        return np.zeros(1)
-    if k == 1:
-        return np.array([0.5 * h, 0.5 * h])
-    w = np.zeros(k + 1)
-    if k % 2 == 0:
-        m = k
-    elif k == 3:
-        m = 0
-    else:
-        m = k - 3
-    if m > 0:
-        w[0] += h / 3.0
-        w[m] += h / 3.0
-        w[1:m:2] += 4.0 * h / 3.0
-        w[2:m:2] += 2.0 * h / 3.0
-    if m < k:
-        w[m] += 3.0 * h / 8.0
-        w[m + 1] += 9.0 * h / 8.0
-        w[m + 2] += 9.0 * h / 8.0
-        w[m + 3] += 3.0 * h / 8.0
-    return w
-
-
 def _shift_kernel(n: int, h: float) -> np.ndarray:
     """Matrix form of int_0^inf exp(-2u) f(|x| e^-u) du on one half-line.
 
-    Row k integrates over the on-grid range u in [0, kh].  The remaining
-    tail int_{kh}^inf exp(-2u) f du is charged to the innermost sample with
-    its exact weight exp(-2kh)/2 (constant extrapolation below the cutoff);
-    for kernel-class functions, |f| ~ x^2 near 0, the induced error is
-    below 1e-7 relative once L >= 6.
+    Row k integrates over the on-grid range u in [0, kh] with positive
+    weights: composite Simpson, a 3/8 block absorbing an odd panel count,
+    the trapezoid for a single panel; fourth order for k >= 2.  The
+    remaining tail int_{kh}^inf exp(-2u) f du is charged to the innermost
+    sample with its exact weight exp(-2kh)/2 (constant extrapolation below
+    the cutoff); for kernel-class functions, |f| ~ x^2 near 0, the induced
+    error is below 1e-7 relative once L >= 6.
+
+    Entry (k, c) weights the node u = (k - c) h.  Away from the Simpson
+    end nodes that weight depends on k - c alone (h/3 on the diagonal,
+    then 4h/3 and 2h/3 alternating), so the matrix is built as one
+    lower-triangular Toeplitz copy of those weights times exp(-2u).  The
+    rule's far end lands in columns 0-3 only: column 0 for every row
+    (end weight plus the tail), columns 1-3 for the 3/8 block of odd k,
+    and the diagonal of rows 1 and 3.  Those entries are then overwritten,
+    each with the expression the per-row rule uses, so every entry is
+    that rule's value bit for bit.
     """
     decay = np.exp(-2.0 * h * np.arange(n))
-    t = np.zeros((n, n))
-    for k in range(1, n):
-        t[k, k::-1] = _u_weights(k, h) * decay[: k + 1]
-    t[:, 0] += 0.5 * decay
+    inner = np.full(n, 2.0 * h / 3.0)
+    inner[1::2] = 4.0 * h / 3.0
+    inner[0] = h / 3.0
+    # Row k of the Toeplitz matrix reads window n - 1 - k of
+    # [p[n-1], ..., p[0], 0, ..., 0]: p[k - c] for c <= k, 0 above.
+    padded = np.concatenate([(inner * decay)[::-1], np.zeros(n - 1)])
+    t = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    # End weight at u = kh: 0 for the empty row 0, h/2 for the trapezoid,
+    # 3h/8 closing a 3/8 block (odd k), h/3 closing Simpson (even k).
+    end = np.full(n, h / 3.0)
+    end[1::2] = 3.0 * h / 8.0
+    end[0] = 0.0
+    if n > 1:
+        end[1] = 0.5 * h
+        t[1, 1] = 0.5 * h * decay[0]
+    t[:, 0] = end * decay + 0.5 * decay
+    if n > 3:
+        odd = np.arange(3, n, 2)
+        t[odd, 1] = 9.0 * h / 8.0 * decay[odd - 1]
+        t[odd, 2] = 9.0 * h / 8.0 * decay[odd - 2]
+        t[3, 3] = 3.0 * h / 8.0 * decay[0]
+        # Where Simpson's last node meets the 3/8 block both weights add.
+        odd = odd[1:]
+        t[odd, 3] = (h / 3.0 + 3.0 * h / 8.0) * decay[odd - 3]
     return t
 
 
@@ -242,7 +247,8 @@ class DiscreteOperator:
         N x N sector block plus N zeros; cost is one N x N singular value
         pass, meant for diagnostics at moderate N.
         """
-        k = -_sector(self)
+        k = _sector(self)
+        np.negative(k, out=k)
         k[np.diag_indices_from(k)] += 1.0
         sv = np.concatenate([np.linalg.svd(k, compute_uv=False),
                              np.zeros(self.grid.N)])
@@ -343,14 +349,24 @@ class IndexResult:
         }
 
 
-def _sector(op: DiscreteOperator) -> np.ndarray:
+def _sector(op: DiscreteOperator,
+            root: Optional[np.ndarray] = None) -> np.ndarray:
     """The parity block A11 + s A12 of op.matrix, s = +1 (which=1) or -1.
 
     Fails closed with BadParams unless the matrix commutes exactly with
     the swap of its halves, the other block A11 - s A12 is the identity to
     rounding, and the returned block is exactly lower-triangular.  Under
     those properties the operator is this block on its parity sector
-    ([r, s r]) and the identity on the other one.
+    ([r, s r]) and the identity on the other one.  With `root` the block
+    is returned conjugated, row i times root[i] and column j divided by
+    root[j]; the checks read it before the scaling.
+
+    One pass streams over blocks of _SECTOR_ROWS rows of each half.  It
+    writes A11 + s A12 straight into the result, runs all three checks on
+    a single scratch block and keeps their global maxima (NaN propagates
+    as in a whole-matrix max); then the checks raise in the order above
+    with the largest deviation over the whole matrix.  Apart from the
+    result, the pass allocates one _SECTOR_ROWS x N block.
     """
     if op.which not in (1, 2):
         raise BadParams(f"which must be 1 or 2, got {op.which!r}")
@@ -359,30 +375,62 @@ def _sector(op: DiscreteOperator) -> np.ndarray:
     if a.shape != (2 * n, 2 * n):
         raise BadParams(
             f"matrix shape {a.shape} does not match the grid (2N = {2 * n})")
-    a11, a12, a21, a22 = a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]
-    if not (np.array_equal(a11, a22) and np.array_equal(a12, a21)):
-        dev = max(float(np.max(np.abs(a11 - a22))),
-                  float(np.max(np.abs(a12 - a21))))
+    into, away = (np.add, np.subtract) if op.which == 1 else (
+        np.subtract, np.add)
+    sector = np.empty((n, n))
+    scratch = np.empty((min(_SECTOR_ROWS, n), n))
+    swap_equal = True
+    swap_dev = [0.0, 0.0]
+    other_dev = upper_dev = 0.0
+    a12_max, a12_min = -math.inf, math.inf
+    for r0 in range(0, n, _SECTOR_ROWS):
+        r1 = min(r0 + _SECTOR_ROWS, n)
+        s = scratch[:r1 - r0]
+        a11, a12 = a[r0:r1, :n], a[r0:r1, n:]
+        a21, a22 = a[n + r0:n + r1, :n], a[n + r0:n + r1, n:]
+        for i, (x, y) in enumerate(((a11, a22), (a12, a21))):
+            np.subtract(x, y, out=s)
+            np.abs(s, out=s)
+            dev = s.max()
+            swap_dev[i] = np.maximum(swap_dev[i], dev)
+            # A zero difference means equal entries; the converse fails
+            # for equal infinities, whose difference is NaN.
+            if dev != 0.0:
+                swap_equal = swap_equal and np.array_equal(x, y)
+        block = sector[r0:r1]
+        into(a11, a12, out=block)
+        away(a11, a12, out=s)
+        rows = np.arange(r1 - r0)
+        s[rows, rows + r0] -= 1.0
+        np.abs(s, out=s)
+        other_dev = np.maximum(other_dev, s.max())
+        a12_max = np.maximum(a12_max, a12.max())
+        a12_min = np.minimum(a12_min, a12.min())
+        # Columns r0.. of this block; its own triangle on and below the
+        # diagonal is zeroed, columns left of r0 are all below it.
+        s = s[:, :n - r0]
+        np.abs(block[:, r0:], out=s)
+        s[np.tril_indices(r1 - r0)] = 0.0
+        upper_dev = np.maximum(upper_dev, s.max())
+        if root is not None:
+            block *= root[r0:r1, None]
+            block /= root[None, :]
+    if not swap_equal:
+        dev = max(float(swap_dev[0]), float(swap_dev[1]))
         raise BadParams(
             f"matrix does not commute with the half swap: largest "
             f"deviation {dev:.3g}")
-    if op.which == 1:
-        sector, other = a11 + a12, a11 - a12
-    else:
-        sector, other = a11 - a12, a11 + a12
-    other[np.diag_indices(n)] -= 1.0
-    dev = float(np.max(np.abs(other)))
+    dev = float(other_dev)
     tol = 16.0 * np.finfo(float).eps * (
-        1.0 + max(float(np.max(a12)), -float(np.min(a12))))
+        1.0 + max(float(a12_max), -float(a12_min)))
     if dev > tol:
         raise BadParams(
             f"the other parity sector is not the identity: largest "
             f"deviation {dev:.3g} (rounding allows {tol:.3g})")
-    upper = np.triu(sector, 1)
-    if np.any(upper):
+    if upper_dev != 0.0:
         raise BadParams(
             f"parity sector is not lower-triangular: largest deviation "
-            f"{float(np.max(np.abs(upper))):.3g}")
+            f"{float(upper_dev):.3g}")
     return sector
 
 
@@ -390,11 +438,8 @@ def _weighted_sector(op: DiscreteOperator):
     """The parity block in the weighted geometry, and W^(1/2) of a half."""
     # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
     # Euclidean one, so ordinary singular values are the operator's.
-    sector = _sector(op)
     root = np.sqrt(op.grid.weights[:op.grid.N])
-    sector *= root[:, None]
-    sector /= root[None, :]
-    return sector, root
+    return _sector(op, root), root
 
 
 def _sigma_max(m: np.ndarray, iters: int = 40) -> float:

@@ -9,6 +9,7 @@ coordinates are the only semantics, labels are cosmetic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -135,6 +136,23 @@ def bracket(g: LieAlgebra, u, v) -> np.ndarray:
     return np.einsum("i,j,ijk->k", u, v, g.c)
 
 
+_CHANGE_BASIS = "ia,jb,ijk,mk->abm"
+
+
+@functools.lru_cache(maxsize=None)
+def _change_basis_path(dim: int) -> tuple:
+    """Greedy contraction order of the change_basis einsum.
+
+    The greedy search reads only the operand shapes, so one order serves
+    every call of a dimension.  The search costs about two thirds as much
+    as the contraction it plans, so it runs once per dimension.
+    """
+    m = np.zeros((dim, dim))
+    path, _ = np.einsum_path(_CHANGE_BASIS, m, m, np.zeros((dim,) * 3), m,
+                             optimize="greedy")
+    return tuple(path)
+
+
 def change_basis(g: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     """Structure constants in the basis whose j-th vector is column j of p.
 
@@ -146,7 +164,8 @@ def change_basis(g: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     if p.shape != (g.dim, g.dim):
         raise DimensionMismatch(f"basis matrix shape {p.shape} != ({g.dim},{g.dim})")
     pinv = np.linalg.inv(p)
-    c_new = np.einsum("ia,jb,ijk,mk->abm", p, p, g.c, pinv, optimize=True)
+    c_new = np.einsum(_CHANGE_BASIS, p, p, g.c, pinv,
+                      optimize=_change_basis_path(g.dim))
     c_new = 0.5 * (c_new - np.swapaxes(c_new, 0, 1))
     return LieAlgebra(dim=g.dim, c=c_new)
 

@@ -1,5 +1,7 @@
 """Log-grid discretization of the half-line operators and their indices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,56 @@ class TestAssembly:
         assert len(rep["sigma"]) == 128
         assert np.allclose(rep["sigma"], full, rtol=0.0, atol=1e-13)
         assert rep["k0"] == int(np.count_nonzero(full >= 1e-8))
+
+
+def _u_weights(k, h):
+    """Reference quadrature of int_0^{kh} in steps of h: composite Simpson,
+    a 3/8 block absorbing an odd panel count, trapezoid for one panel."""
+    if k == 0:
+        return np.zeros(1)
+    if k == 1:
+        return np.array([0.5 * h, 0.5 * h])
+    w = np.zeros(k + 1)
+    if k % 2 == 0:
+        m = k
+    elif k == 3:
+        m = 0
+    else:
+        m = k - 3
+    if m > 0:
+        w[0] += h / 3.0
+        w[m] += h / 3.0
+        w[1:m:2] += 4.0 * h / 3.0
+        w[2:m:2] += 2.0 * h / 3.0
+    if m < k:
+        w[m] += 3.0 * h / 8.0
+        w[m + 1] += 9.0 * h / 8.0
+        w[m + 2] += 9.0 * h / 8.0
+        w[m + 3] += 3.0 * h / 8.0
+    return w
+
+
+def _shift_kernel_reference(n, h):
+    """The kernel one row at a time: row k weights u = kh, ..., 0."""
+    decay = np.exp(-2.0 * h * np.arange(n))
+    t = np.zeros((n, n))
+    for k in range(1, n):
+        t[k, k::-1] = _u_weights(k, h) * decay[: k + 1]
+    t[:, 0] += 0.5 * decay
+    return t
+
+
+class TestShiftKernel:
+    @pytest.mark.parametrize("h", (0.1, 1.0 / 3.0, fr.MAX_LOG_STEP))
+    def test_small_sizes_bitwise_equal_reference(self, h):
+        for n in range(2, 41):
+            got = fr._shift_kernel(n, h)
+            assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
+
+    @pytest.mark.parametrize("n,h", ((1024, 12.0 / 1023), (2560, 16.0 / 2047)))
+    def test_ladder_sizes_bitwise_equal_reference(self, n, h):
+        got = fr._shift_kernel(n, h)
+        assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
 
 
 class TestOracle:
@@ -276,3 +328,86 @@ class TestSector:
         r = fr.numerical_index(fr.assemble_operator(1, grid6))
         assert 2 <= r.iterations <= fr._ITER_CAP
         assert "iterations" not in r.to_json()
+
+
+class TestSectorPass:
+    """The streamed sector pass: blocks of _SECTOR_ROWS rows, last one short."""
+
+    N = 2 * fr._SECTOR_ROWS + 3
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return fr.build_grid(8.0, self.N)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_weighted_sector_bitwise_whole_matrix_formula(self, grid, which):
+        op = fr.assemble_operator(which, grid)
+        n = grid.N
+        a11, a12 = op.matrix[:n, :n], op.matrix[:n, n:]
+        want = a11 + a12 if which == 1 else a11 - a12
+        assert np.array_equal(fr._sector(op), want)
+        root = np.sqrt(grid.weights[:n])
+        want *= root[:, None]
+        want /= root[None, :]
+        sector, got_root = fr._weighted_sector(op)
+        assert np.array_equal(got_root, root)
+        assert sector.tobytes() == want.tobytes()
+
+    # Rows of a small and of the largest defect: the largest sits in the
+    # last row block, then in the first.
+    ROWS = pytest.mark.parametrize("small,big", ((3, N - 2), (N - 2, 3)))
+
+    @ROWS
+    def test_half_swap_reports_global_largest(self, grid, small, big):
+        op = fr.assemble_operator(1, grid)
+        a = op.matrix.copy()
+        a[small, 1] += 1e-4
+        a[self.N + big, 5] += 3e-3
+        bad = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+        with pytest.raises(fr.BadParams, match=r"half swap.*deviation 0\.003$"):
+            fr.numerical_index(bad)
+
+    @ROWS
+    def test_other_sector_reports_global_largest(self, grid, small, big):
+        op = fr.assemble_operator(2, grid)
+        bad = _swap_symmetric_bump(op, small, 1, 1e-4)
+        bad = _swap_symmetric_bump(bad, big, 2, 1.5e-3)
+        with pytest.raises(fr.BadParams,
+                           match=r"not the identity.*deviation 0\.003 "):
+            fr.numerical_index(bad)
+
+    @ROWS
+    def test_triangularity_reports_global_largest(self, grid, small, big):
+        op = fr.assemble_operator(1, grid)
+        bad = _swap_symmetric_bump(op, small - 2, small, 1e-4)
+        bad = _swap_symmetric_bump(bad, big - 1, big + 1, 1.5e-3)
+        with pytest.raises(fr.BadParams,
+                           match=r"lower-triangular.*deviation 0\.003$"):
+            fr.numerical_index(bad)
+        with pytest.raises(fr.BadParams, match="lower-triangular"):
+            bad.compact_tail_report()
+
+    def test_half_swap_wins_over_triangularity(self, grid):
+        op = fr.assemble_operator(1, grid)
+        bad = _swap_symmetric_bump(op, 1, 3, 1e-3)
+        a = bad.matrix.copy()
+        a[self.N - 1, 2] += 1e-3
+        bad = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+        with pytest.raises(fr.BadParams, match="half swap"):
+            fr.numerical_index(bad)
+
+
+def test_index_peak_memory(grid6):
+    """numerical_index allocates the sector, one scratch block and the
+    padded window's kernel, not full-size temporaries of the sector."""
+    op = fr.assemble_operator(1, grid6)
+    n = grid6.N
+    window = fr._extended(grid6).grid.N
+    bound = 1.1 * max(8 * window ** 2, 8 * n * n + 8 * fr._SECTOR_ROWS * n)
+    tracemalloc.start()
+    try:
+        fr.numerical_index(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)

@@ -172,6 +172,18 @@ class TestChangeBasis:
         rhs = np.linalg.solve(p, lc.bracket(g, p @ u, p @ v))
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    @pytest.mark.parametrize("name", ("aff-r", "h3", "g442"))
+    def test_cached_path_bitwise_equal_fresh_search(self, name):
+        # Reference: the same einsum planning its contraction on every call.
+        g = families.builtin(name)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            p = random_gl(rng, n=g.dim)
+            want = np.einsum("ia,jb,ijk,mk->abm", p, p, g.c,
+                             np.linalg.inv(p), optimize=True)
+            want = 0.5 * (want - np.swapaxes(want, 0, 1))
+            assert lc.change_basis(g, p).c.tobytes() == want.tobytes()
+
 
 class TestJson:
     def test_roundtrip(self):
