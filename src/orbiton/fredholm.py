@@ -21,6 +21,14 @@ block: its smallest singular triples come from inverse subspace iteration
 with triangular solves (Golub & Van Loan, Matrix Computations), the
 identity sector contributes N unit singular values, and kernel vectors are
 lifted back to the 2N layout by parity.
+
+B has the finite-section structure of a Wiener-Hopf operator (Boettcher &
+Silbermann, Analysis of Toeplitz Operators): a lower-triangular Toeplitz
+matrix of the interior quadrature weights plus corrections in its first
+four columns, and it is built that way, one N x N copy.  The parity block
+is taken from the 2N x 2N matrix in one pass over row blocks that also
+runs the structure checks, so the index allocates no full-size temporary
+besides the block itself and the kernel of its padded stability window.
 """
 
 from __future__ import annotations

@@ -133,7 +133,8 @@ class TestShiftKernel:
             got = fr._shift_kernel(n, h)
             assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
 
-    @pytest.mark.parametrize("n,h", ((1024, 12.0 / 1023), (2560, 16.0 / 2047)))
+    @pytest.mark.parametrize("n,h",
+                             ((1024, 12.0 / 1023), (2560, 16.0 / 2047)))
     def test_ladder_sizes_bitwise_equal_reference(self, n, h):
         got = fr._shift_kernel(n, h)
         assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
@@ -330,7 +331,7 @@ class TestSector:
         assert "iterations" not in r.to_json()
 
 
-class TestSectorPass:
+    """The streamed sector pass: _SECTOR_ROWS-row blocks, the last short."""
     """The streamed sector pass: blocks of _SECTOR_ROWS rows, last one short."""
 
     N = 2 * fr._SECTOR_ROWS + 3
@@ -364,7 +365,8 @@ class TestSectorPass:
         a[small, 1] += 1e-4
         a[self.N + big, 5] += 3e-3
         bad = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
-        with pytest.raises(fr.BadParams, match=r"half swap.*deviation 0\.003$"):
+        with pytest.raises(fr.BadParams,
+                           match=r"half swap.*deviation 0\.003$"):
             fr.numerical_index(bad)
 
     @ROWS
