@@ -357,17 +357,14 @@ class IndexResult:
         }
 
 
-def _sector(op: DiscreteOperator,
-            root: Optional[np.ndarray] = None) -> np.ndarray:
+def _sector(op: DiscreteOperator) -> np.ndarray:
     """The parity block A11 + s A12 of op.matrix, s = +1 (which=1) or -1.
 
     Fails closed with BadParams unless the matrix commutes exactly with
     the swap of its halves, the other block A11 - s A12 is the identity to
     rounding, and the returned block is exactly lower-triangular.  Under
     those properties the operator is this block on its parity sector
-    ([r, s r]) and the identity on the other one.  With `root` the block
-    is returned conjugated, row i times root[i] and column j divided by
-    root[j]; the checks read it before the scaling.
+    ([r, s r]) and the identity on the other one.
 
     One pass streams over blocks of _SECTOR_ROWS rows of each half.  It
     writes A11 + s A12 straight into the result, runs all three checks on
@@ -420,9 +417,6 @@ def _sector(op: DiscreteOperator,
         np.abs(block[:, r0:], out=s)
         s[np.tril_indices(r1 - r0)] = 0.0
         upper_dev = np.maximum(upper_dev, s.max())
-        if root is not None:
-            block *= root[r0:r1, None]
-            block /= root[None, :]
     if not swap_equal:
         dev = max(float(swap_dev[0]), float(swap_dev[1]))
         raise BadParams(
@@ -446,8 +440,11 @@ def _weighted_sector(op: DiscreteOperator):
     """The parity block in the weighted geometry, and W^(1/2) of a half."""
     # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
     # Euclidean one, so ordinary singular values are the operator's.
+    sector = _sector(op)
     root = np.sqrt(op.grid.weights[:op.grid.N])
-    return _sector(op, root), root
+    sector *= root[:, None]
+    sector /= root[None, :]
+    return sector, root
 
 
 def _sigma_max(m: np.ndarray, iters: int = 40) -> float:

@@ -331,7 +331,7 @@ class TestSector:
         assert "iterations" not in r.to_json()
 
 
-    """The streamed sector pass: _SECTOR_ROWS-row blocks, the last short."""
+class TestStreamedSector:
     """The streamed sector pass: blocks of _SECTOR_ROWS rows, last one short."""
 
     N = 2 * fr._SECTOR_ROWS + 3
