@@ -1,25 +1,28 @@
 """Paired benchmark runs of two commits, summarized as BENCH_<n>.json.
 
     TMPDIR=/path/to/scratch python3 tools/bench_pairs.py \
-        --parent HEAD~1 --change HEAD --workload fredholm-ladder \
-        --seeds 101-110 --held-out 9001 --held-out-pairs 3 \
-        --traced-seed 101 --title "..." --out BENCH_5.json
+        --parent HEAD~1 --change HEAD \
+        --workload fredholm-ladder --workload structure-scan \
+        --workload orbit-atlas --seeds 101-110 \
+        --held-out 9001,9001,9001 --traced-seeds 101-103 --title "..." \
+        --out BENCH_5.json
 
 Each commit is unpacked from its committed files (``git archive``) into a
 fresh directory under TMPDIR, so both sides run the benchmark code of
-their own tree.  For every seed, parent and change run
+their own tree.  For every workload and seed, parent and change run
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` back to
-back, one run at a time; the side that runs first alternates from pair to
-pair.  For every end-to-end metric of BENCHMARK.json the summary gives,
-per side, the runs, their median and quartiles (inclusive method), the
-relative change of the medians, and ``change_wins``: the pairs in which
-the change reads better in the metric's direction, ties counting for
-neither.  With ``--traced-seed`` each side also makes one ``--trace 1``
-run whose per-layer metrics are stored as they are.
+back, one run at a time, with T the ``run_seconds`` of BENCHMARK.json;
+the side that runs first alternates from pair to pair.  For every
+end-to-end metric of BENCHMARK.json the summary gives, per side, the
+runs, their median and quartiles (inclusive method), the relative change
+of the medians, and ``change_wins``: the pairs in which the change reads
+better in the metric's direction, ties counting for neither.  With
+``--traced-seeds`` each side also makes one ``--trace 1`` run per traced
+seed, the side that runs first again alternating, and their per-layer
+metrics are stored as they are.
 
-The output file is updated in place: sections of the workloads run now
-replace earlier ones, other sections stay, so workloads may be run with
-different pair counts in separate invocations.
+Every workload runs with the same seeds, and the output file is written
+afresh from the runs of this invocation only.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ SIDES = ("parent", "change")
 
 
 def _seeds(text: str) -> list[int]:
-    """'101-105' or '101,103,9001' (ranges inclusive)."""
+    """'101-105' or '101,103,9001' (ranges inclusive; repeats allowed)."""
     out = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
@@ -52,11 +55,10 @@ def _parse(argv):
     p.add_argument("--workload", required=True, action="append")
     p.add_argument("--seeds", required=True, type=_seeds)
     p.add_argument("--held-out", type=_seeds, default=[],
-                   help="seeds not used while the change was written")
-    p.add_argument("--held-out-pairs", type=int, default=1,
-                   help="pairs per held-out seed")
-    p.add_argument("--seconds", type=float, default=40.0)
-    p.add_argument("--traced-seed", type=int)
+                   help="seeds not used while the change was written, "
+                        "one pair each; repeat a seed for more pairs")
+    p.add_argument("--traced-seeds", type=_seeds, default=[],
+                   help="seeds of one --trace 1 run per side each")
     p.add_argument("--title", required=True)
     p.add_argument("--out", required=True, type=Path)
     return p.parse_args(argv)
@@ -124,12 +126,12 @@ def _summary(pairs: list[dict], metrics: dict, seeds: list[int]) -> dict:
 
 
 def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
-           first: int) -> list[dict]:
+           first: int, trace: int = 0) -> list[dict]:
     """One pair per seed; parent runs first in even pairs from ``first``."""
     pairs = []
     for i, seed in enumerate(seeds, start=first):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pairs.append({side: _run(trees[side], workload, seed, seconds, 0)
+        pairs.append({side: _run(trees[side], workload, seed, seconds, trace)
                       for side in order})
     return pairs
 
@@ -137,56 +139,59 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
 def main(argv=None) -> int:
     args = _parse(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     commits = {s: _git("rev-parse", getattr(args, s)) for s in SIDES}
-    doc = {}
-    if args.out.exists():
-        doc = json.loads(args.out.read_text(encoding="utf-8"))
-    doc.update({
+    doc = {
         "change": args.title,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "method": {
             "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "trees": "parent and change each unpacked from their committed "
                      "files (git archive) into a fresh directory",
             "pairs": "parent and change run back to back per seed, the "
                      "side that runs first alternating from pair to pair; "
-                     "one run at a time",
+                     "one run at a time; the same seeds for every workload",
             "statistic": "median and quartiles (inclusive method) over the "
                          "runs of each side; change_wins counts pairs where "
                          "the change reads better, ties counting for neither",
-            "traced": "one --trace 1 run per side at the traced seed for "
-                      "the per-layer numbers",
+            "traced": "one --trace 1 run per side at each traced seed for "
+                      "the per-layer numbers, after the untraced pairs",
             "script": "tools/bench_pairs.py",
         },
-    })
+        "workloads": {},
+        "provenance": {},
+    }
+    if args.held_out:
+        doc["held_out"] = {}
+    if args.traced_seeds:
+        doc["per_layer_traced"] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {s: Path(tmp) / s for s in SIDES}
         for side in SIDES:
             _unpack(commits[side], trees[side])
         for w in args.workload:
-            pairs = _pairs(trees, w, args.seeds, args.seconds, 0)
-            doc.setdefault("workloads", {})[w] = _summary(
-                pairs, metrics, args.seeds)
-            doc.setdefault("provenance", {})[w] = {
+            pairs = _pairs(trees, w, args.seeds, seconds, 0)
+            doc["workloads"][w] = _summary(pairs, metrics, args.seeds)
+            doc["provenance"][w] = {
                 s: pairs[0][s].get("provenance") for s in SIDES}
             if args.held_out:
-                seeds = [s for s in args.held_out
-                         for _ in range(args.held_out_pairs)]
-                doc.setdefault("held_out", {})[w] = _summary(
-                    _pairs(trees, w, seeds, args.seconds, len(pairs)),
-                    metrics, seeds)
-            if args.traced_seed is not None:
-                traced = {s: _run(trees[s], w, args.traced_seed,
-                                  args.seconds, 1) for s in SIDES}
-                doc.setdefault("per_layer_traced", {})[w] = {
-                    s: {**{k: m["value"] for k, m in r["metrics"].items()},
-                        "seed": args.traced_seed, "correct": r["correct"]}
-                    for s, r in traced.items()}
-            args.out.write_text(json.dumps(doc, indent=1) + "\n",
-                                encoding="utf-8")
+                doc["held_out"][w] = _summary(
+                    _pairs(trees, w, args.held_out, seconds, len(pairs)),
+                    metrics, args.held_out)
+            if args.traced_seeds:
+                traced = _pairs(trees, w, args.traced_seeds, seconds, 0,
+                                trace=1)
+                doc["per_layer_traced"][w] = {
+                    s: {str(seed): {
+                        **{k: m["value"] for k, m in p[s]["metrics"].items()},
+                        "correct": p[s]["correct"]}
+                        for seed, p in zip(args.traced_seeds, traced)}
+                    for s in SIDES}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
