@@ -104,9 +104,6 @@ class GroupWord:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def inverse(self) -> "GroupWord":
-        return GroupWord(tuple((i, -t) for i, t in reversed(self.steps)))
-
 
 @dataclass(frozen=True)
 class OrbitSample:

@@ -12,23 +12,22 @@ shift matrices with no interpolation step.  Both operators are identity plus
 compact; the numerical index machinery recovers (dim ker, dim coker) = (1, 0)
 for each, with an independent ODE oracle for the kernel function.
 
-The reflection x -> -x swaps the two half-line blocks of the 2N x 2N
-matrix, so each operator splits into its parity sectors: on one
-(even for S_1, odd for S_2) it acts as the N x N block I - 2 B, with B the
-lower-triangular Volterra-type quadrature of one half-line, and on the
-other as the identity.  The index is computed from that one triangular
-block: its smallest singular triples come from inverse subspace iteration
-with triangular solves (Golub & Van Loan, Matrix Computations), the
-identity sector contributes N unit singular values, and kernel vectors are
-lifted back to the 2N layout by parity.
+The reflection x -> -x swaps the two half-lines, so each operator splits
+into its parity sectors: on one (even for S_1, odd for S_2) it acts as
+the N x N block I - 2 B, with B the lower-triangular Volterra-type
+quadrature of one half-line, and on the other as the identity.  The
+operator is stored as that one block, the same for both; which only
+fixes the parity [r, s r] of the sector it acts on.  The index is computed
+from the block: its smallest singular triples come from inverse subspace
+iteration with triangular solves (Golub & Van Loan, Matrix Computations),
+the identity sector contributes N unit singular values, and kernel
+vectors are lifted back to the 2N layout by parity.
 
 B has the finite-section structure of a Wiener-Hopf operator (Boettcher &
 Silbermann, Analysis of Toeplitz Operators): a lower-triangular Toeplitz
 matrix of the interior quadrature weights plus corrections in its first
-four columns, and it is built that way, one N x N copy.  The parity block
-is taken from the 2N x 2N matrix in one pass over row blocks that also
-runs the structure checks, so the index allocates no full-size temporary
-besides the block itself and the kernel of its padded stability window.
+four columns, and it is built that way, one N x N copy that becomes the
+block in place.
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ _PROBE = 8
 # closed after _ITER_CAP steps.
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
-# Rows of each half that one step of the sector pass reads; its scratch
-# block is _SECTOR_ROWS x N.
-_SECTOR_ROWS = 64
 
 
 class FredholmError(Exception):
@@ -226,37 +222,49 @@ def _volterra(grid: LogGrid) -> np.ndarray:
     return base
 
 
-_B = {
-    1: np.array([[1.0, 1.0], [1.0, 1.0]]),
-    2: np.array([[1.0, -1.0], [-1.0, 1.0]]),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Dense 2N x 2N discretization of S_i on a LogGrid."""
+    """S_i on a LogGrid, stored as its N x N parity block I - 2 B.
+
+    On the 2N grid layout the operator maps [r, s r] to [m r, s m r] with
+    m = matrix and s = +1 for which=1, -1 for which=2, and is the identity
+    on the other parity sector.  The block must be lower-triangular
+    (BadParams otherwise, naming the largest entry above the diagonal);
+    it is made read-only.
+    """
 
     grid: LogGrid
     matrix: np.ndarray
     which: int
 
-    def compact_part(self) -> np.ndarray:
-        """K with matrix = I - K."""
-        k = -self.matrix.copy()
-        k[np.diag_indices_from(k)] += 1.0
-        return k
+    def __post_init__(self):
+        if self.which not in (1, 2):
+            raise BadParams(f"which must be 1 or 2, got {self.which!r}")
+        n = self.grid.N
+        if self.matrix.shape != (n, n):
+            raise BadParams(
+                f"matrix shape {self.matrix.shape} does not match the grid "
+                f"(N = {n})")
+        # One row at a time, so the check allocates no N x N temporary;
+        # np.max propagates NaN like a whole-matrix max.
+        upper = np.max([np.max(np.abs(row[i + 1:]), initial=0.0)
+                        for i, row in enumerate(self.matrix)])
+        if upper != 0.0:
+            raise BadParams(
+                f"parity block is not lower-triangular: largest deviation "
+                f"{float(upper):.3g}")
+        self.matrix.setflags(write=False)
 
     def compact_tail_report(self, count: int = 60) -> dict:
-        """Leading singular values of the compact part.
+        """Leading singular values of the compact part K = I - S_i.
 
         Returns the first `count` singular values and k0, the number of
-        them at or above 1e-8.  The compact part vanishes on the identity
-        parity sector, so its singular values are those of I minus the
-        N x N sector block plus N zeros; cost is one N x N singular value
-        pass, meant for diagnostics at moderate N.
+        them at or above 1e-8.  K vanishes on the identity parity sector,
+        so its singular values are those of I minus the block plus N
+        zeros; cost is one N x N singular value pass, meant for
+        diagnostics at moderate N.
         """
-        k = _sector(self)
-        np.negative(k, out=k)
+        k = -self.matrix
         k[np.diag_indices_from(k)] += 1.0
         sv = np.concatenate([np.linalg.svd(k, compute_uv=False),
                              np.zeros(self.grid.N)])
@@ -269,10 +277,13 @@ class DiscreteOperator:
 
 
 def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
-    """Dense matrix applying f -> f - 2 exp(-x^2/2) * quadrature of I_i[f].
+    """Parity block of f -> f - 2 exp(-x^2/2) * quadrature of I_i[f].
 
     The u-nodes are grid-aligned multiples of h, so f(x e^-u) is read off
     the grid directly and the quadrature has no interpolation component.
+    The block is I - 2 V with V the half-line Volterra block; its entries
+    are formed as -2 v off the diagonal and (1 - v) - v on it, the sums
+    A11 + s A12 of the 2N x 2N matrix I - [[V, s V], [s V, V]] bit for bit.
     """
     if which not in (1, 2):
         raise BadParams(f"which must be 1 or 2, got {which!r}")
@@ -281,10 +292,11 @@ def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
         raise GridTooCoarse(
             f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
             f"use N >= {need} at L={grid.L:g}")
-    a = np.kron(_B[which], _volterra(grid))
-    np.negative(a, out=a)
-    a[np.diag_indices_from(a)] += 1.0
-    return DiscreteOperator(grid=grid, matrix=a, which=which)
+    m = _volterra(grid)
+    v = np.diagonal(m).copy()
+    m *= -2.0
+    m[np.diag_indices_from(m)] = (1.0 - v) - v
+    return DiscreteOperator(grid=grid, matrix=m, which=which)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,92 +369,12 @@ class IndexResult:
         }
 
 
-def _sector(op: DiscreteOperator) -> np.ndarray:
-    """The parity block A11 + s A12 of op.matrix, s = +1 (which=1) or -1.
-
-    Fails closed with BadParams unless the matrix commutes exactly with
-    the swap of its halves, the other block A11 - s A12 is the identity to
-    rounding, and the returned block is exactly lower-triangular.  Under
-    those properties the operator is this block on its parity sector
-    ([r, s r]) and the identity on the other one.
-
-    One pass streams over blocks of _SECTOR_ROWS rows of each half.  It
-    writes A11 + s A12 straight into the result, runs all three checks on
-    a single scratch block and keeps their global maxima (NaN propagates
-    as in a whole-matrix max); then the checks raise in the order above
-    with the largest deviation over the whole matrix.  Apart from the
-    result, the pass allocates one _SECTOR_ROWS x N block.
-    """
-    if op.which not in (1, 2):
-        raise BadParams(f"which must be 1 or 2, got {op.which!r}")
-    n = op.grid.N
-    a = op.matrix
-    if a.shape != (2 * n, 2 * n):
-        raise BadParams(
-            f"matrix shape {a.shape} does not match the grid (2N = {2 * n})")
-    into, away = (np.add, np.subtract) if op.which == 1 else (
-        np.subtract, np.add)
-    sector = np.empty((n, n))
-    scratch = np.empty((min(_SECTOR_ROWS, n), n))
-    swap_equal = True
-    swap_dev = [0.0, 0.0]
-    other_dev = upper_dev = 0.0
-    a12_max, a12_min = -math.inf, math.inf
-    for r0 in range(0, n, _SECTOR_ROWS):
-        r1 = min(r0 + _SECTOR_ROWS, n)
-        s = scratch[:r1 - r0]
-        a11, a12 = a[r0:r1, :n], a[r0:r1, n:]
-        a21, a22 = a[n + r0:n + r1, :n], a[n + r0:n + r1, n:]
-        for i, (x, y) in enumerate(((a11, a22), (a12, a21))):
-            np.subtract(x, y, out=s)
-            np.abs(s, out=s)
-            dev = s.max()
-            swap_dev[i] = np.maximum(swap_dev[i], dev)
-            # A zero difference means equal entries; the converse fails
-            # for equal infinities, whose difference is NaN.
-            if dev != 0.0:
-                swap_equal = swap_equal and np.array_equal(x, y)
-        block = sector[r0:r1]
-        into(a11, a12, out=block)
-        away(a11, a12, out=s)
-        rows = np.arange(r1 - r0)
-        s[rows, rows + r0] -= 1.0
-        np.abs(s, out=s)
-        other_dev = np.maximum(other_dev, s.max())
-        a12_max = np.maximum(a12_max, a12.max())
-        a12_min = np.minimum(a12_min, a12.min())
-        # Columns r0.. of this block; its own triangle on and below the
-        # diagonal is zeroed, columns left of r0 are all below it.
-        s = s[:, :n - r0]
-        np.abs(block[:, r0:], out=s)
-        s[np.tril_indices(r1 - r0)] = 0.0
-        upper_dev = np.maximum(upper_dev, s.max())
-    if not swap_equal:
-        dev = max(float(swap_dev[0]), float(swap_dev[1]))
-        raise BadParams(
-            f"matrix does not commute with the half swap: largest "
-            f"deviation {dev:.3g}")
-    dev = float(other_dev)
-    tol = 16.0 * np.finfo(float).eps * (
-        1.0 + max(float(a12_max), -float(a12_min)))
-    if dev > tol:
-        raise BadParams(
-            f"the other parity sector is not the identity: largest "
-            f"deviation {dev:.3g} (rounding allows {tol:.3g})")
-    if upper_dev != 0.0:
-        raise BadParams(
-            f"parity sector is not lower-triangular: largest deviation "
-            f"{float(upper_dev):.3g}")
-    return sector
-
-
 def _weighted_sector(op: DiscreteOperator):
     """The parity block in the weighted geometry, and W^(1/2) of a half."""
     # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
     # Euclidean one, so ordinary singular values are the operator's.
-    sector = _sector(op)
     root = np.sqrt(op.grid.weights[:op.grid.N])
-    sector *= root[:, None]
+    sector = op.matrix * root[:, None]
     sector /= root[None, :]
     return sector, root
 
@@ -550,10 +482,9 @@ def numerical_index(op: DiscreteOperator,
                     ) -> IndexResult:
     """Fredholm data of a discretized operator.
 
-    Singular values are taken in the weighted geometry.  The matrix must
-    split by parity into a lower-triangular block on one sector and the
-    identity on the other (BadParams otherwise, see _sector); the block's
-    smallest singular triples come from inverse subspace iteration with
+    Singular values are taken in the weighted geometry.  The operator is
+    its lower-triangular parity block on one sector and the identity on
+    the other; the block's smallest singular triples come from inverse subspace iteration with
     triangular solves (NotConverged if the values that feed the gap gate
     do not settle) and are merged with the N unit singular values of the
     identity sector.  Candidate kernel directions are the singular

@@ -23,6 +23,25 @@ def grid6():
     return fr.build_grid(6.0, 1024)
 
 
+_B = {
+    1: np.array([[1.0, 1.0], [1.0, 1.0]]),
+    2: np.array([[1.0, -1.0], [-1.0, 1.0]]),
+}
+
+
+def _dense_reference(which, grid):
+    """The 2N x 2N operator I - kron(B_i, V), for N <= 1024 only."""
+    assert grid.N <= 1024
+    a = -np.kron(_B[which], fr._volterra(grid))
+    a[np.diag_indices_from(a)] += 1.0
+    return a
+
+
+def _full_weighted(which, grid):
+    root = np.sqrt(grid.weights)
+    return (root[:, None] * _dense_reference(which, grid)) / root[None, :]
+
+
 class TestGrid:
     def test_measure_and_symmetry(self, grid8):
         g = grid8
@@ -52,20 +71,22 @@ class TestGrid:
 class TestAssembly:
     def test_constant_function_example(self, grid8, op1_8):
         # exact integral of |a| over [-1,1] is 1, so S1 maps 1 to
-        # 1 - 2 exp(-x^2/2)
-        got = op1_8.matrix @ np.ones(2 * grid8.N)
-        want = 1.0 - 2.0 * np.exp(-0.5 * grid8.nodes ** 2)
+        # 1 - 2 exp(-x^2/2); 1 is even, so the block acts on one half
+        got = op1_8.matrix @ np.ones(grid8.N)
+        want = 1.0 - 2.0 * np.exp(-0.5 * grid8.nodes[:grid8.N] ** 2)
         assert np.max(np.abs(got - want)) < 1e-6
 
-    def test_parity_annihilation_exact(self, grid8, op1_8):
+    def test_parity_annihilation_exact(self, grid6):
         # the odd kernel kills even functions and vice versa, to rounding
-        op2 = fr.assemble_operator(2, grid8)
         rng = np.random.default_rng(7)
-        v = rng.standard_normal(grid8.N)
+        v = rng.standard_normal(grid6.N)
         even = np.concatenate([v, v])
         odd = np.concatenate([v, -v])
-        assert np.max(np.abs(op2.matrix @ even - even)) < 1e-13
-        assert np.max(np.abs(op1_8.matrix @ odd - odd)) < 1e-13
+        a2 = _dense_reference(2, grid6)
+        assert np.max(np.abs(a2 @ even - even)) < 1e-13
+        del a2
+        a1 = _dense_reference(1, grid6)
+        assert np.max(np.abs(a1 @ odd - odd)) < 1e-13
 
     def test_grid_too_coarse(self):
         with pytest.raises(fr.GridTooCoarse):
@@ -81,9 +102,11 @@ class TestAssembly:
 
     @pytest.mark.parametrize("which", (1, 2))
     def test_compact_tail_matches_full_svd(self, which):
-        op = fr.assemble_operator(which, fr.build_grid(8.0, 64))
-        rep = op.compact_tail_report(count=128)
-        full = np.linalg.svd(op.compact_part(), compute_uv=False)
+        grid = fr.build_grid(8.0, 64)
+        rep = fr.assemble_operator(which, grid).compact_tail_report(count=128)
+        k = -_dense_reference(which, grid)
+        k[np.diag_indices_from(k)] += 1.0
+        full = np.linalg.svd(k, compute_uv=False)
         assert len(rep["sigma"]) == 128
         assert np.allclose(rep["sigma"], full, rtol=0.0, atol=1e-13)
         assert rep["k0"] == int(np.count_nonzero(full >= 1e-8))
@@ -149,17 +172,15 @@ class TestOracle:
         assert orc.window_ratio_infinity < 0.05
 
     def test_oracle_annihilated_by_operators(self, grid8, op1_8):
+        # the profile lifts to the parity sector of each operator, where
+        # both act as the same block on one half
         orc = fr.ode_kernel_oracle(grid8)
-        w = np.sqrt(grid8.weights)
-        f1 = orc.as_kernel_vector(1)
-        res1 = np.linalg.norm(w * (op1_8.matrix @ f1)) \
-            / np.linalg.norm(w * f1)
+        w = np.sqrt(grid8.weights[:grid8.N])
         op2 = fr.assemble_operator(2, grid8)
-        f2 = orc.as_kernel_vector(2)
-        res2 = np.linalg.norm(w * (op2.matrix @ f2)) \
-            / np.linalg.norm(w * f2)
-        assert res1 < 1e-6
-        assert res2 < 1e-6
+        for op in (op1_8, op2):
+            res = np.linalg.norm(w * (op.matrix @ orc.f)) \
+                / np.linalg.norm(w * orc.f)
+            assert res < 1e-6
 
 
 class TestIndex:
@@ -187,7 +208,7 @@ class TestIndex:
 
     def test_identity_has_zero_index(self):
         ident = fr.DiscreteOperator(grid=fr.build_grid(1.0, 16),
-                                    matrix=np.eye(32), which=1)
+                                    matrix=np.eye(16), which=1)
         r = fr.numerical_index(ident)
         assert (r.dim_ker, r.dim_coker, r.index) == (0, 0, 0)
 
@@ -239,27 +260,14 @@ def _sector_spectrum(op, monkeypatch):
     return np.sort(np.concatenate([sig, np.ones(8)]))[:8]
 
 
-def _full_weighted(op):
-    root = np.sqrt(op.grid.weights)
-    return (root[:, None] * op.matrix) / root[None, :]
-
-
-def _swap_symmetric_bump(op, i, j, d):
-    """Copy of op with d added at (i, j) of all four blocks: the half-swap
-    symmetry holds, A11 + A12 moves by 2d and A11 - A12 stays."""
-    n = op.grid.N
-    a = op.matrix.copy()
-    for r, c in ((i, j), (n + i, n + j), (i, n + j), (n + i, j)):
-        a[r, c] += d
-    return fr.DiscreteOperator(grid=op.grid, matrix=a, which=op.which)
-
-
 class TestSector:
     @pytest.mark.parametrize("N", (64, 128))
     @pytest.mark.parametrize("which", (1, 2))
     def test_smallest_values_match_dense_svd(self, which, N, monkeypatch):
-        op = fr.assemble_operator(which, fr.build_grid(8.0, N))
-        dense = np.linalg.svd(_full_weighted(op), compute_uv=False)[::-1]
+        grid = fr.build_grid(8.0, N)
+        op = fr.assemble_operator(which, grid)
+        dense = np.linalg.svd(_full_weighted(which, grid),
+                              compute_uv=False)[::-1]
         r = fr.numerical_index(op)
         # the values the gap gate reads: the kernel value and the next one
         assert len(r.sing_vals_near_zero) == 1
@@ -271,49 +279,31 @@ class TestSector:
 
     @pytest.mark.parametrize("which", (1, 2))
     def test_full_spectrum_is_sector_plus_ones(self, which):
-        op = fr.assemble_operator(which, fr.build_grid(8.0, 64))
-        full = np.linalg.svd(_full_weighted(op), compute_uv=False)
+        grid = fr.build_grid(8.0, 64)
+        op = fr.assemble_operator(which, grid)
+        full = np.linalg.svd(_full_weighted(which, grid), compute_uv=False)
         sector, _ = fr._weighted_sector(op)
         split = np.sort(np.concatenate([
             np.linalg.svd(sector, compute_uv=False), np.ones(64)]))[::-1]
         assert np.allclose(full, split, rtol=1e-12, atol=1e-13)
 
     def test_s1_and_s2_sectors_bitwise_equal(self, grid6):
-        s1 = fr._sector(fr.assemble_operator(1, grid6))
-        s2 = fr._sector(fr.assemble_operator(2, grid6))
-        assert np.array_equal(s1, s2)
-        assert not np.any(np.triu(s1, 1))
-
-    def test_broken_half_swap_symmetry(self):
-        op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
-        a = op.matrix.copy()
-        a[3, 1] += 1e-3
-        bad = fr.DiscreteOperator(grid=op.grid, matrix=a, which=1)
-        with pytest.raises(fr.BadParams, match="half swap.*0.001"):
-            fr.numerical_index(bad)
-
-    def test_other_sector_not_identity(self):
-        op = fr.assemble_operator(2, fr.build_grid(8.0, 64))
-        # the sector of which=2 is A11 - A12; the bump moves the other
-        bad = _swap_symmetric_bump(op, 3, 1, 1e-3)
-        with pytest.raises(fr.BadParams, match="not the identity.*0.002"):
-            fr.numerical_index(bad)
+        s1 = fr.assemble_operator(1, grid6).matrix
+        s2 = fr.assemble_operator(2, grid6).matrix
+        assert s1.tobytes() == s2.tobytes()
 
     def test_sector_not_lower_triangular(self):
         op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
-        bad = _swap_symmetric_bump(op, 1, 3, 1e-3)
+        a = op.matrix.copy()
+        a[1, 3] += 2e-3
         with pytest.raises(fr.BadParams, match="lower-triangular.*0.002"):
-            fr.numerical_index(bad)
+            fr.DiscreteOperator(grid=op.grid, matrix=a, which=1)
 
     def test_exactly_singular_sector(self):
-        # A11 = (I + T)/2, A12 = (T - I)/2: sector T is strictly lower
-        # triangular, the other sector is exactly I
+        # a strictly lower-triangular block passes the constructor
         g = fr.build_grid(8.0, 64)
         t = np.tril(np.ones((64, 64)), -1)
-        eye = np.eye(64)
-        a = np.block([[(eye + t) / 2, (t - eye) / 2],
-                      [(t - eye) / 2, (eye + t) / 2]])
-        op = fr.DiscreteOperator(grid=g, matrix=a, which=1)
+        op = fr.DiscreteOperator(grid=g, matrix=t, which=1)
         with pytest.raises(fr.BadParams, match="exactly singular"):
             fr.numerical_index(op)
 
@@ -331,10 +321,36 @@ class TestSector:
         assert "iterations" not in r.to_json()
 
 
-class TestStreamedSector:
-    """The streamed sector pass: blocks of _SECTOR_ROWS rows, last one short."""
+class TestDenseReference:
+    """The stored block against the 2N x 2N matrix I - kron(B_i, V)."""
 
-    N = 2 * fr._SECTOR_ROWS + 3
+    @pytest.fixture(scope="class", params=(64, 1024))
+    def grid(self, request):
+        return fr.build_grid(8.0 if request.param == 64 else 6.0,
+                             request.param)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_parity_split(self, grid, which):
+        n = grid.N
+        a = _dense_reference(which, grid)
+        a11, a12 = a[:n, :n], a[:n, n:]
+        # the reflection swaps the halves: the matrix commutes with it
+        assert np.array_equal(a11, a[n:, n:])
+        assert np.array_equal(a12, a[n:, :n])
+        s = 1.0 if which == 1 else -1.0
+        other = a11 - s * a12
+        other[np.diag_indices_from(other)] -= 1.0
+        tol = 16.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(a12)))
+        assert np.max(np.abs(other)) <= tol
+        op = fr.assemble_operator(which, grid)
+        assert (a11 + s * a12).tobytes() == op.matrix.tobytes()
+
+
+class TestStreamedSector:
+    """The block against the former streamed sector pass, on N = 131 rows:
+    two whole 64-row blocks of that pass and a short one."""
+
+    N = 131
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -344,9 +360,10 @@ class TestStreamedSector:
     def test_weighted_sector_bitwise_whole_matrix_formula(self, grid, which):
         op = fr.assemble_operator(which, grid)
         n = grid.N
-        a11, a12 = op.matrix[:n, :n], op.matrix[:n, n:]
+        a = _dense_reference(which, grid)
+        a11, a12 = a[:n, :n], a[:n, n:]
         want = a11 + a12 if which == 1 else a11 - a12
-        assert np.array_equal(fr._sector(op), want)
+        assert op.matrix.tobytes() == want.tobytes()
         root = np.sqrt(grid.weights[:n])
         want *= root[:, None]
         want /= root[None, :]
@@ -355,57 +372,69 @@ class TestStreamedSector:
         assert sector.tobytes() == want.tobytes()
 
     # Rows of a small and of the largest defect: the largest sits in the
-    # last row block, then in the first.
+    # last rows, then in the first.
     ROWS = pytest.mark.parametrize("small,big", ((3, N - 2), (N - 2, 3)))
 
     @ROWS
-    def test_half_swap_reports_global_largest(self, grid, small, big):
-        op = fr.assemble_operator(1, grid)
-        a = op.matrix.copy()
-        a[small, 1] += 1e-4
-        a[self.N + big, 5] += 3e-3
-        bad = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
-        with pytest.raises(fr.BadParams,
-                           match=r"half swap.*deviation 0\.003$"):
-            fr.numerical_index(bad)
-
-    @ROWS
-    def test_other_sector_reports_global_largest(self, grid, small, big):
-        op = fr.assemble_operator(2, grid)
-        bad = _swap_symmetric_bump(op, small, 1, 1e-4)
-        bad = _swap_symmetric_bump(bad, big, 2, 1.5e-3)
-        with pytest.raises(fr.BadParams,
-                           match=r"not the identity.*deviation 0\.003 "):
-            fr.numerical_index(bad)
-
-    @ROWS
     def test_triangularity_reports_global_largest(self, grid, small, big):
-        op = fr.assemble_operator(1, grid)
-        bad = _swap_symmetric_bump(op, small - 2, small, 1e-4)
-        bad = _swap_symmetric_bump(bad, big - 1, big + 1, 1.5e-3)
+        a = fr.assemble_operator(1, grid).matrix.copy()
+        a[small - 2, small] += 2e-4
+        a[big - 1, big + 1] += 3e-3
         with pytest.raises(fr.BadParams,
                            match=r"lower-triangular.*deviation 0\.003$"):
-            fr.numerical_index(bad)
-        with pytest.raises(fr.BadParams, match="lower-triangular"):
-            bad.compact_tail_report()
+            fr.DiscreteOperator(grid=grid, matrix=a, which=1)
 
-    def test_half_swap_wins_over_triangularity(self, grid):
-        op = fr.assemble_operator(1, grid)
-        bad = _swap_symmetric_bump(op, 1, 3, 1e-3)
-        a = bad.matrix.copy()
-        a[self.N - 1, 2] += 1e-3
-        bad = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
-        with pytest.raises(fr.BadParams, match="half swap"):
-            fr.numerical_index(bad)
+
+class TestBlock:
+    """What the constructor refuses, and the read-only block."""
+
+    @pytest.fixture(scope="class")
+    def op(self):
+        return fr.assemble_operator(2, fr.build_grid(8.0, 64))
+
+    @pytest.mark.parametrize("shape", ((128, 128), (64, 65), (64,)))
+    def test_wrong_shape(self, op, shape):
+        with pytest.raises(fr.BadParams, match="shape"):
+            fr.DiscreteOperator(grid=op.grid, matrix=np.zeros(shape),
+                                which=1)
+
+    def test_unknown_which(self, op):
+        with pytest.raises(fr.BadParams, match="which"):
+            fr.DiscreteOperator(grid=op.grid, matrix=op.matrix.copy(),
+                                which=3)
+
+    def test_nan_above_diagonal(self, op):
+        a = op.matrix.copy()
+        a[0, 63] = np.nan
+        with pytest.raises(fr.BadParams, match="lower-triangular.*nan"):
+            fr.DiscreteOperator(grid=op.grid, matrix=a, which=2)
+
+    def test_matrix_is_read_only(self, op):
+        with pytest.raises(ValueError):
+            op.matrix[5, 2] = 0.0
+        with pytest.raises(ValueError):
+            op.matrix *= 2.0
+
+
+def test_assemble_peak_memory(grid6):
+    """assemble_operator allocates the N x N block and vectors, no more."""
+    n = grid6.N
+    tracemalloc.start()
+    try:
+        fr.assemble_operator(1, grid6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n, peak / 2 ** 20
 
 
 def test_index_peak_memory(grid6):
-    """numerical_index allocates the sector, one scratch block and the
-    padded window's kernel, not full-size temporaries of the sector."""
+    """numerical_index allocates the weighted block and the padded
+    window's kernel, not full-size temporaries of the block."""
     op = fr.assemble_operator(1, grid6)
     n = grid6.N
     window = fr._extended(grid6).grid.N
-    bound = 1.1 * max(8 * window ** 2, 8 * n * n + 8 * fr._SECTOR_ROWS * n)
+    bound = 1.1 * max(8 * window ** 2, 8 * n * n)
     tracemalloc.start()
     try:
         fr.numerical_index(op)
