@@ -281,9 +281,9 @@ def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
 
     The u-nodes are grid-aligned multiples of h, so f(x e^-u) is read off
     the grid directly and the quadrature has no interpolation component.
-    The block is I - 2 V with V the half-line Volterra block; its entries
-    are formed as -2 v off the diagonal and (1 - v) - v on it, the sums
-    A11 + s A12 of the 2N x 2N matrix I - [[V, s V], [s V, V]] bit for bit.
+    The block is I - 2 B with B the half-line Volterra block; its entries
+    are formed as -2 b off the diagonal and (1 - b) - b on it, the sums
+    A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]] bit for bit.
     """
     if which not in (1, 2):
         raise BadParams(f"which must be 1 or 2, got {which!r}")
@@ -293,9 +293,9 @@ def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
             f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
             f"use N >= {need} at L={grid.L:g}")
     m = _volterra(grid)
-    v = np.diagonal(m).copy()
+    b = np.diagonal(m).copy()
     m *= -2.0
-    m[np.diag_indices_from(m)] = (1.0 - v) - v
+    m[np.diag_indices_from(m)] = (1.0 - b) - b
     return DiscreteOperator(grid=grid, matrix=m, which=which)
 
 
@@ -484,12 +484,12 @@ def numerical_index(op: DiscreteOperator,
 
     Singular values are taken in the weighted geometry.  The operator is
     its lower-triangular parity block on one sector and the identity on
-    the other; the block's smallest singular triples come from inverse subspace iteration with
-    triangular solves (NotConverged if the values that feed the gap gate
-    do not settle) and are merged with the N unit singular values of the
-    identity sector.  Candidate kernel directions are the singular
-    vectors under the threshold, lifted to the 2N layout as
-    [r, s r] / sqrt(2); each must stay a near-null vector after
+    the other; the block's smallest singular triples come from inverse
+    subspace iteration with triangular solves (NotConverged if the values
+    that feed the gap gate do not settle) and are merged with the N unit
+    singular values of the identity sector.  Candidate kernel directions
+    are the singular vectors under the threshold, lifted to the 2N layout
+    as [r, s r] / sqrt(2); each must stay a near-null vector after
     zero-padding onto a window enlarged by 2 in L (same step) to count,
     which is what separates dim_ker from dim_coker on a square
     truncation.  threshold_policy "relative-gap" places the cut at the

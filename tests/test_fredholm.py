@@ -291,6 +291,7 @@ class TestSector:
         s1 = fr.assemble_operator(1, grid6).matrix
         s2 = fr.assemble_operator(2, grid6).matrix
         assert s1.tobytes() == s2.tobytes()
+        assert not np.any(np.triu(s1, 1))
 
     def test_sector_not_lower_triangular(self):
         op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
