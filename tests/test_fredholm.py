@@ -173,13 +173,16 @@ class TestOracle:
 
     def test_oracle_annihilated_by_operators(self, grid8, op1_8):
         # the profile lifts to the parity sector of each operator, where
-        # both act as the same block on one half
+        # the operator acts as its block on each half
         orc = fr.ode_kernel_oracle(grid8)
-        w = np.sqrt(grid8.weights[:grid8.N])
+        n = grid8.N
+        w = np.sqrt(grid8.weights[:n])
         op2 = fr.assemble_operator(2, grid8)
         for op in (op1_8, op2):
-            res = np.linalg.norm(w * (op.matrix @ orc.f)) \
-                / np.linalg.norm(w * orc.f)
+            f = orc.as_kernel_vector(op.which)
+            assert fr.parity_check([f], op.which)[0].residual == 0.0
+            res = np.linalg.norm(w * (op.matrix @ f[:n])) \
+                / np.linalg.norm(w * f[:n])
             assert res < 1e-6
 
 
