@@ -13,9 +13,11 @@ row takes its m generator indices from ``rng.integers`` and then its m
 times from ``rng.uniform``, exactly as ``random_word`` does, so a seed
 fixes every point.  Evaluation is batched: the steps of a block of rows
 are stacked into one (rows, m, d, d) array of t·ad_{X_i} and exponentiated
-by a single ``scipy.linalg.expm`` call, which applies the same per-slice
-scaling-and-squaring as a call per step, then each row is composed left
-to right.  Points are bit-for-bit those of one ``expm`` per step.
+by one call of ``lie_core.expm``, the batched Pade kernel that also backs
+``exp_ad``, then each row is composed left to right.  The kernel treats
+every slice on its own (its own scaling, its own squarings), so a row's
+point does not depend on the block it was evaluated in: row r of a sample
+is bit for bit ``coadjoint_flow`` of the r-th word.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lie_core import (
     DimensionMismatch,
     LieAlgebra,
     LieAlgebraError,
     Subspace,
+    expm,
     numeric_rank,
 )
 
@@ -53,8 +55,8 @@ __all__ = [
 ]
 
 # Steps exponentiated per stacked expm call (128 bytes each in dimension
-# 4, twice over for input and output), so sampling memory does not grow
-# with the number of points.
+# 4, times the kernel's few temporaries), so sampling memory does not
+# grow with the number of points.
 _BLOCK_STEPS = 8192
 
 
@@ -238,9 +240,10 @@ def sample_orbit(g: LieAlgebra, F: Sequence[float], n: int,
     (-step_scale, step_scale).  Row r is coadjoint_flow(g, F, w_r), bit for
     bit, where w_r is the r-th random_word drawn from default_rng(seed):
     the words are drawn row by row in that order, so the first m rows do
-    not depend on n.  Rows are evaluated in blocks, one stacked expm per
-    block (see the module docstring).  est_dim is the rank of the tangent
-    span at the base point, which coincides with orbit_dimension(g, F).
+    not depend on n.  Rows are evaluated in blocks, one batched
+    exponential per block (see the module docstring).  est_dim is the rank
+    of the tangent span at the base point, which coincides with
+    orbit_dimension(g, F).
     """
     if n < 1:
         raise ValueError("need n >= 1")

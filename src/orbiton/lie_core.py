@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "LieAlgebraError",
@@ -28,6 +27,7 @@ __all__ = [
     "change_basis",
     "ad_matrix",
     "exp_ad",
+    "expm",
     "derived_subalgebra",
     "derived_series_length",
     "numeric_rank",
@@ -39,6 +39,15 @@ __all__ = [
 # Uniform rank rule: singular values below dim * sigma_max * RANK_RTOL are zero.
 RANK_RTOL = 1e-10
 VALIDATION_ATOL = 1e-12
+
+# Coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, and the
+# largest 1-norm theta_13 at which it meets double precision (Higham, SIAM
+# J. Matrix Anal. Appl. 26 (2005), Table 2.3 and eq. 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class LieAlgebraError(Exception):
@@ -177,8 +186,72 @@ def ad_matrix(g: LieAlgebra, u) -> np.ndarray:
 
 
 def exp_ad(g: LieAlgebra, u) -> np.ndarray:
-    """exp(ad_u) by scaling-and-squaring (relative accuracy well below 1e-12)."""
+    """exp(ad_u) by :func:`expm` (relative accuracy well below 1e-12)."""
     return expm(ad_matrix(g, u))
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of every slice of a (..., d, d) stack.
+
+    Scaling and squaring with the [13/13] Pade approximant, evaluated for
+    the whole stack at once, but with nothing shared between slices: each
+    slice takes its own s = max(0, ceil(log2(||A||_1 / theta_13))), and the
+    k-th squaring round touches only the slices with s > k.  A slice's
+    result therefore does not depend on the rest of the stack.
+
+    Exact results stay exact.  A diagonal slice, zero included, returns
+    diag(exp(diag(A))) without any Pade step.  Entry (i, j) of exp(A)
+    vanishes when no chain of nonzero entries of A leads from i to j, and
+    is set to 0.0 there; this zeroes the other triangle of a triangular
+    slice.
+    """
+    # One memory layout for every caller, so that a slice's bits do not
+    # depend on how its stack was built.
+    a = np.ascontiguousarray(a, dtype=float)
+    shape = a.shape
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise DimensionMismatch(f"expected a (..., d, d) stack, got {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix exponential of a non-finite matrix")
+    d = shape[-1]
+    a = a.reshape(-1, d, d)
+    eye = np.eye(d, dtype=bool)
+    nonzero = a != 0.0
+    full = nonzero[:, ~eye].any(axis=1)
+    out = np.zeros_like(a)
+    i = np.arange(d)
+    out[:, i, i] = np.exp(a[:, i, i])
+    # Reachability in the graph of A: paths of length <= d - 1.
+    reach = nonzero[full] | eye
+    for _ in range(max(d - 2, 0).bit_length()):
+        reach = reach @ reach
+    out[full] = np.where(reach, _pade13_squared(a[full]), 0.0)
+    return out.reshape(shape)
+
+
+def _pade13_squared(a: np.ndarray) -> np.ndarray:
+    """Scaling and squaring with the [13/13] Pade approximant, per slice."""
+    norm = np.einsum("nij->nj", np.abs(a)).max(axis=1)
+    # ceil(log2(x)) from the binary exponent, without log2(0) = -inf.
+    mant, expo = np.frexp(norm / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    x = np.ldexp(a, -s[:, None, None])
+
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sel = s > k
+        rs = r[sel]
+        r[sel] = rs @ rs
+    return r
 
 
 def noise_floor(g: LieAlgebra) -> float:

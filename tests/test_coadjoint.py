@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import orbiton
 from orbiton import coadjoint as co, families, lie_core as lc
@@ -203,6 +204,28 @@ class TestSampling:
             sample = co.sample_orbit(g, F, 6, seed=44, **kwargs)
             assert sample.points.shape == (6, 4)
             assert np.array_equal(sample.points, np.tile(F, (6, 1)))
+
+    @pytest.mark.parametrize("step_scale", [0.0, 1.0, 7.0])
+    def test_step_exponentials_keep_exact_results(self, step_scale):
+        # Every exact zero of scipy's expm is an exact zero of the kernel,
+        # and every diagonal step (zero included) is scipy's
+        # diag(exp(diag)) byte for byte.  The sign of a zero is left out:
+        # scipy's follows the Pade degree it picks per slice.
+        off = ~np.eye(4, dtype=bool)
+        for name, params, g in family_fixtures():
+            rng = np.random.default_rng(45)
+            drawn = [co._draw_word(rng, g.dim, 2 * g.dim, step_scale)
+                     for _ in range(200)]
+            idx = np.array([i for i, _ in drawn])
+            ts = np.array([t for _, t in drawn])
+            steps = ts[..., None, None] * np.swapaxes(g.c, 1, 2)[idx] + 0.0
+            got = co._step_exponentials(g, idx, ts)
+            want = expm(steps)
+            assert np.all(got[want == 0.0] == 0.0), name
+            diagonal = ~steps[..., off].any(axis=-1)
+            assert got[diagonal].tobytes() == want[diagonal].tobytes(), name
+            if step_scale == 0.0:
+                assert diagonal.all()
 
     def test_first_coordinate_constant_on_g421_orbits(self):
         # The first dual coordinate is a Casimir for this family: every

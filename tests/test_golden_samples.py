@@ -3,81 +3,94 @@
 The points of ``sample_orbit`` are pinned bit for bit: every family x
 stratum with two seeded bases and 200 points each, drawn the way the
 benchmark's ``orbit-atlas`` workload draws them, plus the point clouds of
-one ``family_atlas``.  The digests were taken from the per-step
-``expm`` loop that the batched evaluation replaced.  A new evaluation
-must reproduce them; they are not regenerated.  They hold for the builds
-they were taken with (numpy 2.4, scipy 1.17, OpenBLAS on x86-64); another
-BLAS or libm may change last bits.
+one ``family_atlas``.
+
+The digests were first taken from scipy's per-step ``expm``.  They were
+re-pinned once, when the step exponentials moved to the batched Pade
+kernel ``lie_core.expm``: its steps agree with scipy's to 1e-13 normwise
+(``test_step_exponentials_match_scipy_expm``, which stays as the
+reference), and the re-pinned points differ from the old ones by at most
+4.7e-14 relative.  Any other change of evaluation must reproduce them.
+They hold for the builds they were taken with (numpy 2.4, scipy 1.17,
+OpenBLAS on x86-64); another BLAS or libm may change last bits.  The
+points must not depend on the BLAS thread count
+(``test_sample_points_do_not_depend_on_blas_threads``).
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
+import orbiton
 from orbiton import coadjoint as co, families, orbit_atlas as oa
 
 SAMPLE_DIGESTS = {
-    ("g411", "fixed-points", 0): "d124cf1c1598162cd3c9cc73b28db50c73f7f1107f1e8bbc4dad97d82f55855c",
-    ("g411", "fixed-points", 1): "0e24848b9505c25aa2887c09ec53a27a7d81e1f492ce63f2637b63cd817d73ea",
-    ("g411", "generic", 0): "eb49c18f57497834ba5484ebbfe312a897cc5598d911ad776e6f358909d3b07e",
-    ("g411", "generic", 1): "a92177826fe0fa1c0345e7d9cae752d5b04e1ebd522b75e9258f52bf98390d8f",
-    ("g412", "fixed-points", 0): "c92d24cbe6802967ba625f56b8e689aa480bb395c96b376bc0fade58ddaf07e4",
-    ("g412", "fixed-points", 1): "f5f4f06b441f61a3081ea55bd87c4c071fa52915555f90d69a4bce63fc9eaebe",
-    ("g412", "generic", 0): "a3454b1af103f09377ca8a7fe3891af9eee88eab3139b79e38ecfe4988e426fe",
-    ("g412", "generic", 1): "3e9145043e0e289dbc0fda327e336e649e71baf1ad1e25ee2a3d5c132c696fb7",
-    ("g421", "fixed-points", 0): "c02864eb0c045e5902b5c163eb11a1398c2da8a62a872bfdb40b40396fa7717d",
-    ("g421", "fixed-points", 1): "8bc3b6834035154cb2a2a689ce4b6015eec4142d13c90b5ba4436154eceadbc8",
-    ("g421", "generic", 0): "3753971db665fb118bd031237bac8fed715bf4879ceffaf6a4ea35b2625d8c4d",
-    ("g421", "generic", 1): "b15b12c4ccc2d9db906e917e77241870a4d94b67750bacdd85c9c327a0ee0db4",
-    ("g422", "fixed-points", 0): "e34a6327ea1cb051ad2ed201e319ee82f82eedfce519e41e6794d7f20b959d5e",
-    ("g422", "fixed-points", 1): "a36b6ad2afeb4703c10d48eea09f3f9208ea640cb83eec4f7abd4177d6bc8f13",
-    ("g422", "generic", 0): "6bde5153048e6dc1d93e423fda5fc31b58980fe8fbbbbe419d657b6f70b1d88e",
-    ("g422", "generic", 1): "7afc730a60eebae876ab18df03eb5ce4d23193883256fbb4f0f207422d79d474",
-    ("g423", "fixed-points", 0): "cffe9dda26a43b86156d44e6301e4e97300bde25ab0b7a6b9c4f532b6d12b16f",
-    ("g423", "fixed-points", 1): "1497076f65a8540124e955824b900a5bc177f2550ad09d63803d565f982afd7b",
-    ("g423", "generic", 0): "b678b74f693bf9924ccaa2194a8db65f96ab1c2d710c8d0cb7d314ecbdf78577",
-    ("g423", "generic", 1): "8ed2cbfaca7d704d8cbb157c051361ea4e860c8b3090053ff7f29dcfd8ec437a",
-    ("g424", "fixed-points", 0): "b0ac1e6ff687632f69c4d888f30fc0e82ccab03e2b9c9d35da6f8ac933e153c5",
-    ("g424", "fixed-points", 1): "a84b90e6688d81e44306d1f550b795a8b67d0c4bfd608b2abc9bc79c50752d1e",
-    ("g424", "generic", 0): "e3c82035823e5ff534a58a0b20120bcda9631cd830904fee1d59baf0869902b0",
-    ("g424", "generic", 1): "014d041e0147dbf2d9a5541c9f2e0a28a7e09e9026098d6b0e17e345cef81572",
-    ("g431", "fixed-points", 0): "56726678519292df2beaf5795f88f6468ca67a6e7be3d5a9fa745d808e515ffc",
-    ("g431", "fixed-points", 1): "25e53b3c2bdd7f7c2cd4ecad3653fe7724758986fd840df4c32b12bd64fecbc5",
-    ("g431", "generic", 0): "a700c16e96c6a4e348d4b2b7d628ba3135acd900a2d0c5a2e42474e5f3c158e9",
-    ("g431", "generic", 1): "9cabe76a9ae8e8f99a42f85f32fc941586e05cc3dbf577ecde1e37a408e8a644",
-    ("g432", "fixed-points", 0): "112a66f7ef768f3a6e66b009c0120c26752f1ba935fda8cb0f19ce4e3b1ca089",
-    ("g432", "fixed-points", 1): "0b540818970d8f05d6b89ffdd3a7da017705714726fa08b0302542033c9a7a5b",
-    ("g432", "generic", 0): "2ba6ab1a5f3c9677c75b9166326fd98232fd41680c73a384f032c7dbb92bfed0",
-    ("g432", "generic", 1): "55fb9bc00521a20c3a406764731812e2bff742005f738b269913c32c23e9278c",
-    ("g433", "fixed-points", 0): "c4ebfe5120610a5a561172b4fce58ad4393c11c5dcf6f830982731df8972f8ad",
-    ("g433", "fixed-points", 1): "2dcee5455296214d538a8e9b66d2cdf5280dd44add38607d0dbeac57e4f258f4",
-    ("g433", "generic", 0): "bc5699df920e2e3563c27ee6650350f520c541b8278c46281983fe5b71a096b4",
-    ("g433", "generic", 1): "82a60cd568adf59a40a39abaf11ab88692e7ee9c3beee443ac0b00b0f0d4436d",
-    ("g434", "fixed-points", 0): "4bd3fe75b5c125d912df3ca920ac812b7eee2bedf0a1c6ba5f860a851a0ad02a",
-    ("g434", "fixed-points", 1): "9ee6aa67936bb9f9f8cfd7fdebb58bd8457b41d0a1240645447b6a50d776ecb8",
-    ("g434", "generic", 0): "529356600ba5bf2c26d4c086e111e94ab7105ac5abd6e6756e74bd6f377d6bf6",
-    ("g434", "generic", 1): "708b74986f8e77c39967ab6aa7f55eaa24c0cbbff9cf644c7dc44e47d73c25e1",
-    ("g441", "fixed-points", 0): "39391577160307670bd888a556f6e3d1ef436e2c649fdb1daab48a3ae95f57f4",
-    ("g441", "fixed-points", 1): "7721f9b9021db8c261a3493f201755c0e0d3059dfd4db5a7df76847a7e123fc3",
-    ("g441", "cylinders", 0): "1a7365ee6e816a51768019f46861f675b1cd91a220f6388dac7c21ffd939bb74",
-    ("g441", "cylinders", 1): "08ca6ec363489e2cce1ad313a54984b0e3d55b22dfa08a1b3a17d92967395463",
-    ("g441", "paraboloids", 0): "0d097ae22c30657f242c5136b629f399e877c7e2894ba0259224e312302f58a2",
-    ("g441", "paraboloids", 1): "6e5599ec8ebaee1fdca858cbf4133a65ba06e24e9e66168382f5309873e4587a",
-    ("g442", "fixed-points", 0): "3741df2770970af9793bedf18cc246cd523c5bfc551b84e3cbae32fb417a110e",
-    ("g442", "fixed-points", 1): "0c78ebe5fd745bb40ef50b383af61e4ce50b46a911222456dbcfa61e7520d554",
-    ("g442", "half-planes-x", 0): "85480350c36ea08e70a241482e3b0427a140284da832e30d439d53de6db88313",
-    ("g442", "half-planes-x", 1): "b445bf482c48d219b4c91c21ece391d19f071368576f9a7d655ebd55b09d24a8",
-    ("g442", "half-planes-y", 0): "ecd6d61af7c9f58280b7c4be2834b383f13995189c8764626fc7b2dd429780b6",
-    ("g442", "half-planes-y", 1): "e8b356d4aa709ff742acb28bfcea276d083ec42e5342ccc956d9d8161edcd347",
-    ("g442", "hyperbolic-cylinders", 0): "0f6501e27514bd8d2263623f824cfa5ba74a58af1bef2976ace574d2bd517f5a",
-    ("g442", "hyperbolic-cylinders", 1): "e90089c24dc876a750834726257f97f030bd625939b5f1c2fe95c4ed084995ba",
-    ("g442", "hyperbolic-paraboloids", 0): "e2fd5bbff4129ec6c44e7a9607d714380284e61d87f4a4a4290e6c0046046e8f",
-    ("g442", "hyperbolic-paraboloids", 1): "7b7f4d4d1c9e244803bbfdb944e6ec907b048cc22d404a047cc2efadda9e5d55",
+    ("g411", "fixed-points", 0): "7f74e36dbcde3c4216f415bf9e78fdcf8c4bb8cb12a1ff5be877ec58a4c5f012",
+    ("g411", "fixed-points", 1): "150dab6e304a075a983774081a7ed802f5f6fdb8b46655895551014fbb765cbd",
+    ("g411", "generic", 0): "15ecd401006d90eff6b8e9f8b7ab402c80ee7b2fe4ddcfc98e1feab33b8ca90f",
+    ("g411", "generic", 1): "cc77b56e1b074e7ba0d0fea6ab83d4dac58e111ac1f8afad4a1e71960cb781d2",
+    ("g412", "fixed-points", 0): "e4df0a537b73b8e9d9d2bdd0ded2d2a3cca7b54437e97932c685c49c7fd5bddc",
+    ("g412", "fixed-points", 1): "efec9bc971b9db449c96993a15a89b411523450cafaa52046e52f1d255495d2a",
+    ("g412", "generic", 0): "b6fa44024a678a5e2c101f0211c58d563a08a6e42d0d5f6c2c0e43ed7ec3b695",
+    ("g412", "generic", 1): "cc04031a699e5aa2cc34da62aa079258a6dee3e7eea346429ffa60487f80f716",
+    ("g421", "fixed-points", 0): "e4471a0eda11edca62066d619db6f8561cfc685248d9f7306442f68d2651a32f",
+    ("g421", "fixed-points", 1): "d14dce1a0e52b4bd9517f44795f91687dcef672fedea05f3f7343915acdf0fe8",
+    ("g421", "generic", 0): "b8e6cbecdc2bbe4c6e9e5098e1d23cf3a443f23176de5e12ff2de52baacbfd22",
+    ("g421", "generic", 1): "7a9a0226f6a17a10b8a4ee6bf1ca8b2d4fcb5c5c49bce780fb82d3b7e337f599",
+    ("g422", "fixed-points", 0): "17eb9e96ccee577a466f337f075836e519ff27fc7832b78298731a187dfdef35",
+    ("g422", "fixed-points", 1): "0eae2601f748f6de21184d8a34b796f5c729c57e9d096b8b9d81622557e56c8e",
+    ("g422", "generic", 0): "e655e3a463232e2301f3d38d55c69db3af9b455e902f78a27d94e79ea35f79dd",
+    ("g422", "generic", 1): "5cfb2c8a2979d78f5d28c0e4259b04fae63a0e0713e331b9ba682486c7421927",
+    ("g423", "fixed-points", 0): "af2dd624c8a3a24c4abe591c69f842e5f4a5280647d3f3aeca4726ede1a2a645",
+    ("g423", "fixed-points", 1): "9a59114a75805edf9e4a2041fc590327cee955215e220343281c0532b7cad9ca",
+    ("g423", "generic", 0): "28039cd42648f6578ca545a72baf1e2de206b6e3bc52c3118986f43db3d38e88",
+    ("g423", "generic", 1): "e1f4cb74ab7f0b2d739a9f1053b3088d0bb1c9db8c3df82b79651b681c0b7935",
+    ("g424", "fixed-points", 0): "720620ec54cb41d001f3a404a10a43923cf18d325379a6fad12636902f278a5f",
+    ("g424", "fixed-points", 1): "944a32b852d56dba12b49d26e1302a8b0c0c8b64116cf9b9722e78f3ea02ff2c",
+    ("g424", "generic", 0): "194107355bfbdb44f1ab12933de3f6310c285dec17348df62f927b4aea779e02",
+    ("g424", "generic", 1): "220d5e53b942258e6b9af611e42b6a7735d2e164c701fe2693053447cd4c7b08",
+    ("g431", "fixed-points", 0): "4f10e41ac537894790617cd54fe7598048c5d84cacf3ead6f6f591d6aad770b3",
+    ("g431", "fixed-points", 1): "d8282c56471dad704afa290c000093b2cf40e86fa4829bc61794dbdd2fbc84e4",
+    ("g431", "generic", 0): "da6ae69f344a339a13e47624c5ca0760d60de1ce1c6eae759e185c02c17aff55",
+    ("g431", "generic", 1): "7c0d7e61643fbacabef5422a5b2afe1500a93ee01ccbd963c09c2acd0d938854",
+    ("g432", "fixed-points", 0): "216cc197021c33c90449c7655aeab0ff3cb0d5bf6a881f8b88756590653980bc",
+    ("g432", "fixed-points", 1): "999109bee5151a068d84d461db13023dad5b0d6e34781d367924d3c15d94159a",
+    ("g432", "generic", 0): "09aaa60863405595251afc2b4092bfc145d34462026e3c417af3f4d505ac4104",
+    ("g432", "generic", 1): "1d0bd1d823afa146c661cd3d66c873f390a34c75c00c92dfcf12212d9fe7b008",
+    ("g433", "fixed-points", 0): "72f38b827279a80cf438bbe30c1c569d6b54729e6790d40fd64dae92c260cb3a",
+    ("g433", "fixed-points", 1): "52d892ade3e1b1d8371ff95799a65df0946b4cb37aa2bee63c3f5b517421616f",
+    ("g433", "generic", 0): "74172a14a114eedf1c4fe967a88833b42195aa9f194657943ecdb74106012231",
+    ("g433", "generic", 1): "45a5ee94e419251cffecd7cc8287bba2796db1d1a86c7f101d1f33f874237539",
+    ("g434", "fixed-points", 0): "901c3b2c13e854911cbb78d4d6e686c65135e871068a9c0cfbedee907f6319fc",
+    ("g434", "fixed-points", 1): "3c6c07b961ef741ac744e67f4392e8390c56838af124b6d551bfe6fb6bff02b9",
+    ("g434", "generic", 0): "484c6d28f6c871969b0c226be0ed7cbe4ec037809e31bd61166b3ac32327bed4",
+    ("g434", "generic", 1): "bb627fb2d9affb08a5ee77a2eb5a6a2e06b7e347678b3d11ea98fe1c4c422cbb",
+    ("g441", "fixed-points", 0): "09d5184d3f1be68e0de55a8deadceebf8247d416b472e614dd8b68aa9284310c",
+    ("g441", "fixed-points", 1): "9dfe65428872e43553ad5ac80bd95ed9116a4dc5da15be6b251bd07559500e2c",
+    ("g441", "cylinders", 0): "1b6425c38954c9810f5fd1824eccdc5135c2d9478aa5dcbad922742eca895370",
+    ("g441", "cylinders", 1): "c13e3f757a2ac3f5627edd24fc924595a87442a41b2e97ad2145af74c385d6d8",
+    ("g441", "paraboloids", 0): "a9313183e59dc16c462704bbdddbdcb2d940e765776a3f2b788fdf1c7d0afcd5",
+    ("g441", "paraboloids", 1): "e5568c66dca2fe156123d90eb554169602f988bd577fa0408a78173ba876547b",
+    ("g442", "fixed-points", 0): "1f878f82beaa2bfc6441d2cdc3f37232664a012d95d6862ac0a2f00f605c72a3",
+    ("g442", "fixed-points", 1): "78c85d06ca21128b60416ad0b960e74021342047ec168a1a7fe520ddeca854ff",
+    ("g442", "half-planes-x", 0): "31b81bd304a17acdc92602af01e51faf5894305c97af2331f4c001298f79975c",
+    ("g442", "half-planes-x", 1): "080b436527570b54018c6d312317c8e54a7034b576f55baf9764ccba354c2974",
+    ("g442", "half-planes-y", 0): "b42790eb67ba4ef24321347cc6c3adfd79f3eaeee62df04df75ea2ac433aeb5b",
+    ("g442", "half-planes-y", 1): "61234db3dc7a43d0f355188711d3e6317b631866924521d0ca935560dc036fd0",
+    ("g442", "hyperbolic-cylinders", 0): "167e5187cd13f7e8aaefba24fceff62a71aad2f87aa78fad60c380d6b0b26403",
+    ("g442", "hyperbolic-cylinders", 1): "c830e0a39214efa1fd82fe507deb652f15dda71fcbf8613869769548c389caee",
+    ("g442", "hyperbolic-paraboloids", 0): "5cc2e5b58687646fad36a210180fde63829bbcd0ee6efffed495aa60edb4cc70",
+    ("g442", "hyperbolic-paraboloids", 1): "e530b885a12934aeb924a5c2cf2726f965d1eee52bba8e33f9407c03ae37acb1",
 }
 
 ATLAS_G424_CLOUDS = (
-    "c70393dfe106d39ed294bdd69ad0187d00923360c7aa4538c695f1e4caf18c48")
+    "517c76d2328a6d60cbb9eb2330474dc9e6ab2b1cff65ccfe53cbe82cd62da534")
 
 
 def _cases(seed=101):
@@ -128,3 +141,34 @@ def test_step_exponentials_match_scipy_expm():
                / np.abs(want).sum(axis=-2).max(axis=-1))
         worst = max(worst, float(err.max()))
     assert worst <= 1e-13, worst
+
+
+_CHILD = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_golden_samples import _cases, _sha
+from orbiton import coadjoint as co
+print(json.dumps({{"|".join(map(str, key)):
+                   _sha(co.sample_orbit(g, base, 200, seed=s).points.tobytes())
+                   for key, g, base, s in _cases()}}))
+"""
+
+
+def test_sample_points_do_not_depend_on_blas_threads():
+    src = str(Path(orbiton.__file__).resolve().parents[1])
+    script = _CHILD.format(tests=str(Path(__file__).resolve().parent))
+    got = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True,
+                              timeout=300, check=True)
+        got[threads] = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["1"] == got["2"]
+    pinned = {"|".join(map(str, k)): v for k, v in SAMPLE_DIGESTS.items()}
+    assert got["1"] == pinned

@@ -107,6 +107,13 @@ class TestExpAd:
             assert np.abs(a @ a).max() == 0.0
             assert np.abs(lc.exp_ad(h, u) - np.eye(3) - a).max() < 1e-14
 
+    def test_non_finite_input_raises(self):
+        for bad in (np.inf, np.nan):
+            a = np.zeros((2, 3, 3))
+            a[1, 0, 2] = bad
+            with pytest.raises(ValueError):
+                lc.expm(a)
+
     def test_matches_series_on_g411(self):
         g = families.build_family("g411")
         rng = np.random.default_rng(8)
