@@ -200,10 +200,11 @@ def expm(a) -> np.ndarray:
     result therefore does not depend on the rest of the stack.
 
     Exact results stay exact.  A diagonal slice, zero included, returns
-    diag(exp(diag(A))) without any Pade step.  Entry (i, j) of exp(A)
-    vanishes when no chain of nonzero entries of A leads from i to j, and
-    is set to 0.0 there; this zeroes the other triangle of a triangular
-    slice.
+    diag(exp(diag(A))), and a nilpotent one (A^d = 0 in floating point)
+    its terminating series I + A + ... + A^(d-1)/(d-1)!, both without any
+    Pade step.  Entry (i, j) of exp(A) vanishes when no chain of nonzero
+    entries of A leads from i to j, and is set to 0.0 there; this zeroes
+    the other triangle of a triangular slice.
     """
     # One memory layout for every caller, so that a slice's bits do not
     # depend on how its stack was built.
@@ -216,16 +217,27 @@ def expm(a) -> np.ndarray:
     d = shape[-1]
     a = a.reshape(-1, d, d)
     eye = np.eye(d, dtype=bool)
-    nonzero = a != 0.0
-    full = nonzero[:, ~eye].any(axis=1)
+    full = (a[:, ~eye] != 0.0).any(axis=1)
     out = np.zeros_like(a)
     i = np.arange(d)
     out[:, i, i] = np.exp(a[:, i, i])
-    # Reachability in the graph of A: paths of length <= d - 1.
-    reach = nonzero[full] | eye
+
+    af = a[full]
+    r = np.eye(d) + af
+    term = af
+    for k in range(2, d):
+        term = term @ af / k
+        r += term
+    # Products keep the zeros of the pattern exact, so the series needs no
+    # mask; the Pade solve can fill them, so its result is masked with the
+    # reachability of the graph of A (paths of length <= d - 1).
+    pade = (term @ af).any(axis=(1, 2))
+    ap = af[pade]
+    reach = (ap != 0.0) | eye
     for _ in range(max(d - 2, 0).bit_length()):
         reach = reach @ reach
-    out[full] = np.where(reach, _pade13_squared(a[full]), 0.0)
+    r[pade] = np.where(reach, _pade13_squared(ap), 0.0)
+    out[full] = r
     return out.reshape(shape)
 
 
