@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from orbiton import families, lie_core as lc
 
@@ -106,6 +107,19 @@ class TestExpAd:
             a = lc.ad_matrix(h, u)
             assert np.abs(a @ a).max() == 0.0
             assert np.abs(lc.exp_ad(h, u) - np.eye(3) - a).max() < 1e-14
+
+    def test_unreachable_entries_are_exact_zeros(self):
+        # Row 0 reaches only itself, row 1 reaches 1, 3 and (through 3) 0,
+        # row 3 reaches 3 and 0: those entries of exp(A) vanish.  The Pade
+        # solve alone leaves roundoff in (1, 2).
+        a = np.array([[0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.63, 0.0, 1.29],
+                      [-0.75, 1.69, -0.29, 1.57],
+                      [-0.43, 0.0, 0.0, 0.0]])
+        e = lc.expm(a)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (3, 2)):
+            assert e[i, j] == 0.0, (i, j)
+        assert np.abs(e - expm(a)).max() < 1e-14 * np.abs(e).max()
 
     def test_non_finite_input_raises(self):
         for bad in (np.inf, np.nan):
