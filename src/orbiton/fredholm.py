@@ -18,16 +18,20 @@ the N x N block I - 2 B, with B the lower-triangular Volterra-type
 quadrature of one half-line, and on the other as the identity.  The
 operator is stored as that one block, the same for both; which only
 fixes the parity [r, s r] of the sector it acts on.  The index is computed
-from the block: its smallest singular triples come from inverse subspace
-iteration with triangular solves (Golub & Van Loan, Matrix Computations),
-the identity sector contributes N unit singular values, and kernel
-vectors are lifted back to the 2N layout by parity.
+from the block: exp(-x^2/2) underflows to exactly 0 far out, so the
+block's trailing rows are exact unit rows and it is exactly diag(M, I);
+M's smallest singular triples come from inverse subspace iteration with
+triangular solves (Golub & Van Loan, Matrix Computations), the identity
+rows and the identity sector contribute unit singular values, and kernel
+vectors are zero-padded and lifted back to the 2N layout by parity.
 
 B has the finite-section structure of a Wiener-Hopf operator (Boettcher &
 Silbermann, Analysis of Toeplitz Operators): a lower-triangular Toeplitz
 matrix of the interior quadrature weights plus corrections in its first
-four columns, and it is built that way, one N x N copy that becomes the
-block in place.
+four columns.  The stored block is built that way, one N x N copy that
+becomes the block in place; on the enlarged window of the stability test
+B is never formed, only applied from those generators, a convolution
+with the weights plus the four correction columns.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ WINDOW_TOL = 0.05
 _PROBE = 8
 # Inverse iteration stops once every singular value that feeds the gap
 # gate has moved less than _ITER_RTOL (relative) in one step, and fails
-# closed after _ITER_CAP steps.
+# closed after _ITER_CAP steps; the power iteration for sigma_max stops on
+# the same rule and fails closed after _SIGMA_CAP steps.
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
+_SIGMA_CAP = 40
 
 
 class FredholmError(Exception):
@@ -107,13 +113,14 @@ class AsymptoticMismatch(FredholmError):
 
 
 class NotConverged(FredholmError):
-    """Inverse iteration reached its cap before the gate values settled."""
+    """An iteration reached its cap before its values settled."""
 
-    def __init__(self, iterations: int, change: float):
+    def __init__(self, iterations: int, change: float,
+                 what: str = "inverse iteration"):
         self.iterations = iterations
         self.change = change
         super().__init__(
-            f"inverse iteration stopped at its cap of {iterations} steps "
+            f"{what} stopped at its cap of {iterations} steps "
             f"with relative change {change:.3g} (needs < {_ITER_RTOL:g})")
 
 
@@ -162,6 +169,43 @@ def build_grid(L: float, N: int) -> LogGrid:
     return LogGrid(L=L, N=N, s=s, nodes=nodes, weights=weights)
 
 
+def _kernel_generators(n: int, h: float):
+    """Toeplitz weights and first four columns of the shift kernel.
+
+    Returns p, with p[d] the weight of u = d h away from the Simpson end
+    nodes (h/3 for d = 0, then 4h/3 and 2h/3 alternating, times
+    exp(-2u)), and head, the kernel's columns 0-3 (fewer when n < 4) as
+    an n x 4 array: p[k - c] below the diagonal, overwritten where the
+    rule's far end lands (see _shift_kernel).
+    """
+    decay = np.exp(-2.0 * h * np.arange(n))
+    inner = np.full(n, 2.0 * h / 3.0)
+    inner[1::2] = 4.0 * h / 3.0
+    inner[0] = h / 3.0
+    p = inner * decay
+    head = np.zeros((n, min(n, 4)))
+    for c in range(head.shape[1]):
+        head[c:, c] = p[:n - c]
+    # End weight at u = kh: 0 for the empty row 0, h/2 for the trapezoid,
+    # 3h/8 closing a 3/8 block (odd k), h/3 closing Simpson (even k).
+    end = np.full(n, h / 3.0)
+    end[1::2] = 3.0 * h / 8.0
+    end[0] = 0.0
+    if n > 1:
+        end[1] = 0.5 * h
+        head[1, 1] = 0.5 * h * decay[0]
+    head[:, 0] = end * decay + 0.5 * decay
+    if n > 3:
+        odd = np.arange(3, n, 2)
+        head[odd, 1] = 9.0 * h / 8.0 * decay[odd - 1]
+        head[odd, 2] = 9.0 * h / 8.0 * decay[odd - 2]
+        head[3, 3] = 3.0 * h / 8.0 * decay[0]
+        # Where Simpson's last node meets the 3/8 block both weights add.
+        odd = odd[1:]
+        head[odd, 3] = (h / 3.0 + 3.0 * h / 8.0) * decay[odd - 3]
+    return p, head
+
+
 def _shift_kernel(n: int, h: float) -> np.ndarray:
     """Matrix form of int_0^inf exp(-2u) f(|x| e^-u) du on one half-line.
 
@@ -179,46 +223,32 @@ def _shift_kernel(n: int, h: float) -> np.ndarray:
     lower-triangular Toeplitz copy of those weights times exp(-2u).  The
     rule's far end lands in columns 0-3 only: column 0 for every row
     (end weight plus the tail), columns 1-3 for the 3/8 block of odd k,
-    and the diagonal of rows 1 and 3.  Those entries are then overwritten,
-    each with the expression the per-row rule uses, so every entry is
-    that rule's value bit for bit.
+    and the diagonal of rows 1 and 3.  Those columns are then overwritten
+    with the head of _kernel_generators, each entry computed with the
+    expression the per-row rule uses, so every entry is that rule's value
+    bit for bit.
     """
-    decay = np.exp(-2.0 * h * np.arange(n))
-    inner = np.full(n, 2.0 * h / 3.0)
-    inner[1::2] = 4.0 * h / 3.0
-    inner[0] = h / 3.0
+    p, head = _kernel_generators(n, h)
     # Row k of the Toeplitz matrix reads window n - 1 - k of
     # [p[n-1], ..., p[0], 0, ..., 0]: p[k - c] for c <= k, 0 above.
-    padded = np.concatenate([(inner * decay)[::-1], np.zeros(n - 1)])
+    padded = np.concatenate([p[::-1], np.zeros(n - 1)])
     t = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
-    # End weight at u = kh: 0 for the empty row 0, h/2 for the trapezoid,
-    # 3h/8 closing a 3/8 block (odd k), h/3 closing Simpson (even k).
-    end = np.full(n, h / 3.0)
-    end[1::2] = 3.0 * h / 8.0
-    end[0] = 0.0
-    if n > 1:
-        end[1] = 0.5 * h
-        t[1, 1] = 0.5 * h * decay[0]
-    t[:, 0] = end * decay + 0.5 * decay
-    if n > 3:
-        odd = np.arange(3, n, 2)
-        t[odd, 1] = 9.0 * h / 8.0 * decay[odd - 1]
-        t[odd, 2] = 9.0 * h / 8.0 * decay[odd - 2]
-        t[3, 3] = 3.0 * h / 8.0 * decay[0]
-        # Where Simpson's last node meets the 3/8 block both weights add.
-        odd = odd[1:]
-        t[odd, 3] = (h / 3.0 + 3.0 * h / 8.0) * decay[odd - 3]
+    t[:, :head.shape[1]] = head
     return t
+
+
+def _gauss(grid: LogGrid) -> np.ndarray:
+    """Row factor 2 exp(-x^2/2) of the half-line block, x = e^s."""
+    x = np.exp(grid.s)
+    return 2.0 * np.exp(-0.5 * x * x)
 
 
 def _volterra(grid: LogGrid) -> np.ndarray:
     """Half-line block 2 exp(-x^2/2) * shift kernel; lower-triangular."""
-    x = np.exp(grid.s)
     # Rows with x beyond e^L would carry exp(-x^2/2) < 1e-14 once L >= 3,
     # so cutting the domain there only perturbs identity rows.
-    gauss = 2.0 * np.exp(-0.5 * x * x)
     base = _shift_kernel(grid.N, grid.h)
-    base *= gauss[:, None]
+    base *= _gauss(grid)[:, None]
     return base
 
 
@@ -369,28 +399,64 @@ class IndexResult:
         }
 
 
-def _weighted_sector(op: DiscreteOperator):
-    """The parity block in the weighted geometry, and W^(1/2) of a half."""
+def _deflated_size(m: np.ndarray) -> int:
+    """Start k of the trailing run of exact unit rows of a lower-triangular m.
+
+    Row i counts when m[i, i] == 1 and m[i, :i] is all zero (NaN is not
+    zero), so m is exactly diag(m[:k, :k], I); k = N when the last row is
+    not a unit row.  A zero on the diagonal of the leading block raises
+    BadParams, before any iteration runs.
+    """
+    k = m.shape[0]
+    while k and m[k - 1, k - 1] == 1.0 and not np.count_nonzero(
+            m[k - 1, :k - 1]):
+        k -= 1
+    diag = np.diagonal(m)[:k]
+    if not np.all(diag):
+        raise BadParams(
+            f"parity sector is exactly singular (zero diagonal at row "
+            f"{int(np.argmin(np.abs(diag)))})")
+    return k
+
+
+def _weighted_sector(op: DiscreteOperator, k: Optional[int] = None):
+    """The leading k x k parity block (all of it by default) in the
+    weighted geometry, and W^(1/2) of a whole half."""
     # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
     # Euclidean one, so ordinary singular values are the operator's.
     root = np.sqrt(op.grid.weights[:op.grid.N])
-    sector = op.matrix * root[:, None]
-    sector /= root[None, :]
+    k = op.grid.N if k is None else k
+    sector = op.matrix[:k, :k] * root[:k, None]
+    sector /= root[None, :k]
     return sector, root
 
 
-def _sigma_max(m: np.ndarray, iters: int = 40) -> float:
+def _sigma_max(m: np.ndarray) -> float:
+    """Largest singular value by power iteration on m^T m.
+
+    The estimate is |m v| for the unit iterate v.  It stops once that
+    moved less than _ITER_RTOL relative in one step, and raises
+    NotConverged after _SIGMA_CAP steps.
+    """
+    if not m.size:
+        return 0.0
     rng = np.random.default_rng(54321)
     v = rng.standard_normal(m.shape[1])
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    prev = 0.0
+    change = math.inf
+    for _ in range(_SIGMA_CAP):
         w = m @ v
-        v = m.T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
+        est = float(np.linalg.norm(w))
+        if est == 0.0:
             return 0.0
-        v /= nv
-    return float(np.linalg.norm(m @ v))
+        change = abs(est - prev) / est
+        if change < _ITER_RTOL:
+            return est
+        prev = est
+        v = m.T @ w
+        v /= np.linalg.norm(v)
+    raise NotConverged(_SIGMA_CAP, change, "power iteration for sigma_max")
 
 
 def _sector_triples(m: np.ndarray, k: int, gate: float):
@@ -403,11 +469,6 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
     NotConverged.  Returns (sigmas ascending, right vectors, left
     vectors, steps taken).
     """
-    diag = np.diagonal(m)
-    if not np.all(diag):
-        raise BadParams(
-            f"parity sector is exactly singular (zero diagonal at row "
-            f"{int(np.argmin(np.abs(diag)))})")
     rng = np.random.default_rng(12345)
     v = np.linalg.qr(rng.standard_normal((m.shape[0], k)))[0]
     prev = None
@@ -427,7 +488,8 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
         if prev is not None:
             watch = min(k, int(np.count_nonzero(vals < gate)) + 1)
             moved = np.abs(vals[:watch] - prev[:watch])
-            change = float(np.max(moved / np.maximum(prev[:watch], 1e-300)))
+            change = float(np.max(moved / np.maximum(prev[:watch], 1e-300),
+                                  initial=0.0))
             if change < _ITER_RTOL:
                 break
         prev = vals
@@ -442,37 +504,54 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
     return vals, rights, lefts, step
 
 
-class _ExtendedOperator:
-    """Matrix-free action of the sector block I - 2 B on a larger window."""
+class _Window:
+    """The sector block I - 2 B on a window enlarged by 2 in L, same step.
+
+    B = diag(gauss) (T + D) is applied from its generators and never
+    formed: T f is the causal convolution of f with the Toeplitz weights,
+    and D holds the corrections in columns 0-3 (the head of the kernel
+    minus its Toeplitz part).  Storage is O(n) and an apply O(n^2) work.
+    np.convolve sums through BLAS ddot, which OpenBLAS keeps on one
+    thread below 10000 elements, so on windows that short the results do
+    not depend on the thread count.
+    """
 
     def __init__(self, grid: LogGrid):
-        self.grid = grid
-        self.base = _volterra(grid)
-        self.weights = grid.weights[:grid.N]
+        self.offset = int(math.ceil(2.0 / grid.h))
+        self.grid = build_grid(grid.L + self.offset * grid.h,
+                               grid.N + 2 * self.offset)
+        n = self.grid.N
+        self.p, head = _kernel_generators(n, self.grid.h)
+        for c in range(head.shape[1]):
+            head[c:, c] -= self.p[:n - c]
+        self.fix = np.ascontiguousarray(head.T)
+        self.gauss = _gauss(self.grid)
+        self.weights = self.grid.weights[:n]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return f - 2.0 * (self.base @ f)
+        bf = np.convolve(self.p, f)[:f.size]
+        for c, col in enumerate(self.fix):
+            bf += col * f[c]
+        return f - 2.0 * (self.gauss * bf)
 
     def apply_adjoint(self, g: np.ndarray) -> np.ndarray:
-        # Adjoint in the weighted geometry: W^-1 A^T W.
+        # Adjoint in the weighted geometry: W^-1 A^T W, where B^T y is
+        # T^T y (the convolution run backwards) plus D^T y in entries 0-3.
         wg = self.weights * g
-        return (wg - 2.0 * (self.base.T @ wg)) / self.weights
+        y = self.gauss * wg
+        bt = np.convolve(y[::-1], self.p)[:y.size][::-1]
+        for c, col in enumerate(self.fix):
+            bt[c] += np.sum(col * y)
+        return (wg - 2.0 * bt) / self.weights
 
 
-def _extended(grid: LogGrid) -> _ExtendedOperator:
-    extra = int(math.ceil(2.0 / grid.h))
-    big = build_grid(grid.L + extra * grid.h, grid.N + 2 * extra)
-    return _ExtendedOperator(big)
-
-
-def _stability_residual(ext: _ExtendedOperator, small: LogGrid,
-                        v: np.ndarray, adjoint: bool) -> float:
+def _stability_residual(window: _Window, v: np.ndarray,
+                        adjoint: bool) -> float:
     # v lives on the small grid's half-line; zero-pad it onto the window.
-    extra = (ext.grid.N - small.N) // 2
-    padded = np.zeros(ext.grid.N)
-    padded[extra:extra + small.N] = v
-    image = ext.apply_adjoint(padded) if adjoint else ext.apply(padded)
-    root = np.sqrt(ext.weights)
+    padded = np.zeros(window.grid.N)
+    padded[window.offset:window.offset + v.size] = v
+    image = window.apply_adjoint(padded) if adjoint else window.apply(padded)
+    root = np.sqrt(window.weights)
     return float(np.linalg.norm(root * image) /
                  np.linalg.norm(root * padded))
 
@@ -484,30 +563,37 @@ def numerical_index(op: DiscreteOperator,
 
     Singular values are taken in the weighted geometry.  The operator is
     its lower-triangular parity block on one sector and the identity on
-    the other; the block's smallest singular triples come from inverse
-    subspace iteration with triangular solves (NotConverged if the values
-    that feed the gap gate do not settle) and are merged with the N unit
-    singular values of the identity sector.  Candidate kernel directions
-    are the singular vectors under the threshold, lifted to the 2N layout
-    as [r, s r] / sqrt(2); each must stay a near-null vector after
-    zero-padding onto a window enlarged by 2 in L (same step) to count,
-    which is what separates dim_ker from dim_coker on a square
-    truncation.  threshold_policy "relative-gap" places the cut at the
-    largest ratio jump among singular values below 1e-3 * sigma_max and
-    demands that jump exceed 100 (GapTooSmall otherwise); a float is used
-    as an absolute cut instead.
+    the other.  The block's trailing run of exact unit rows (where
+    exp(-x^2/2) underflows to 0) is deflated: the block is exactly
+    diag(M, I), and only M is copied into the weighted geometry.
+    sigma_max comes from power iteration on M, stopped once it settles
+    (NotConverged at its cap), and is at least 1.  M's smallest singular
+    triples come from inverse subspace iteration with triangular solves
+    (NotConverged if the values that feed the gap gate do not settle) and
+    are merged with the unit singular values of the deflated rows and of
+    the identity sector.  Candidate kernel directions are the singular
+    vectors under the threshold, zero on the deflated rows and lifted to
+    the 2N layout as [r, s r] / sqrt(2); each must stay a near-null vector
+    after zero-padding onto a window enlarged by 2 in L (same step) to
+    count, which is what separates dim_ker from dim_coker on a square
+    truncation.  The window's block is applied from its Toeplitz
+    generators, never formed.  threshold_policy "relative-gap" places
+    the cut at the largest ratio jump among singular values below
+    1e-3 * sigma_max and demands that jump exceed 100 (GapTooSmall
+    otherwise); a float is used as an absolute cut instead.
     """
     fixed_cut = isinstance(threshold_policy, (int, float))
     if not fixed_cut and threshold_policy != "relative-gap":
         raise BadParams(f"unknown threshold policy {threshold_policy!r}")
-    sector, root = _weighted_sector(op)
+    k = _deflated_size(op.matrix)
+    sector, root = _weighted_sector(op, k)
     half = op.grid.N
     n = 2 * half
     sigma_max = max(_sigma_max(sector), 1.0)
     cap = NEAR_ZERO_FACTOR * sigma_max
     gate = float(threshold_policy) if fixed_cut else cap
     sig, rights, lefts, iterations = _sector_triples(
-        sector, min(_PROBE, half), gate)
+        sector, min(_PROBE, k), gate)
     del sector
     take = min(_PROBE, n)
     # A pool only holds values under 1: a cut above 1 takes in every unit
@@ -563,16 +649,18 @@ def numerical_index(op: DiscreteOperator,
             iterations=iterations)
 
     sign = 1.0 if op.which == 1 else -1.0
-    ext = _extended(op.grid)
+    window = _Window(op.grid)
     ker_vecs = []
     coker_vecs = []
     ker_res = []
     coker_res = []
     for i in range(pool):
-        vfun = rights[:, i] / root
-        ufun = lefts[:, i] / root
-        ker_res.append(_stability_residual(ext, op.grid, vfun, False))
-        coker_res.append(_stability_residual(ext, op.grid, ufun, True))
+        vfun = np.zeros(half)
+        ufun = np.zeros(half)
+        vfun[:k] = rights[:, i] / root[:k]
+        ufun[:k] = lefts[:, i] / root[:k]
+        ker_res.append(_stability_residual(window, vfun, False))
+        coker_res.append(_stability_residual(window, ufun, True))
         ker_vecs.append(np.concatenate([vfun, sign * vfun]) / math.sqrt(2.0))
         coker_vecs.append(np.concatenate([ufun, sign * ufun]) /
                           math.sqrt(2.0))

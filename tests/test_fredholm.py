@@ -433,12 +433,15 @@ def test_assemble_peak_memory(grid6):
 
 
 def test_index_peak_memory(grid6):
-    """numerical_index allocates the weighted block and the padded
-    window's kernel, not full-size temporaries of the block."""
+    """numerical_index allocates one weighted copy of the deflated block
+    and O(N) vectors: no N x N temporary, no window kernel."""
     op = fr.assemble_operator(1, grid6)
     n = grid6.N
-    window = fr._extended(grid6).grid.N
-    bound = 1.1 * max(8 * window ** 2, 8 * n * n)
+    k = fr._deflated_size(op.matrix)
+    assert k < n
+    # 8 * _PROBE columns of the triangular solves and their QR, a few
+    # vectors of the padded window: 64 vectors of length 2N covers both.
+    bound = 8 * k * k + 64 * 8 * 2 * n
     tracemalloc.start()
     try:
         fr.numerical_index(op)
@@ -446,3 +449,133 @@ def test_index_peak_memory(grid6):
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
+
+
+def _dense_window(grid):
+    """The padded window's I - 2 B as a matrix, and its weights."""
+    window = fr._Window(grid)
+    a = -2.0 * fr._volterra(window.grid)
+    a[np.diag_indices_from(a)] += 1.0
+    return window, a, window.weights
+
+
+class TestWindow:
+    """The window's block applied from its generators against the dense
+    I - 2 V of the window grid."""
+
+    @pytest.mark.parametrize("L,N", ((6.0, 1024), (8.0, 64)))
+    def test_apply_and_adjoint_match_dense(self, L, N):
+        window, a, w = _dense_window(fr.build_grid(L, N))
+        assert window.grid.N == N + 2 * window.offset
+        rng = np.random.default_rng(5)
+        for f in rng.standard_normal((3, window.grid.N)):
+            want = a @ f
+            got = window.apply(f)
+            assert np.linalg.norm(got - want) <= \
+                1e-13 * np.linalg.norm(want)
+            # the adjoint in the weighted geometry, W^-1 A^T W
+            want = (a.T @ (w * f)) / w
+            got = window.apply_adjoint(f)
+            assert np.linalg.norm(got - want) <= \
+                1e-13 * np.linalg.norm(want)
+
+    def test_head_columns_carry_the_corrections(self):
+        # the first four columns are where the window differs from the
+        # convolution: a unit vector there sees only its column, and the
+        # adjoint's first four entries read those columns
+        window, a, w = _dense_window(fr.build_grid(8.0, 64))
+        for c in range(4):
+            e = np.zeros(window.grid.N)
+            e[c] = 1.0
+            assert np.allclose(window.apply(e), a[:, c], rtol=0.0,
+                               atol=1e-15)
+        g = np.random.default_rng(6).standard_normal(window.grid.N)
+        want = (a[:, :4].T @ (w * g)) / w[:4]
+        assert np.allclose(window.apply_adjoint(g)[:4], want, rtol=1e-13,
+                           atol=0.0)
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("L,N,unit", ((6.0, 1024, 201),
+                                          (8.0, 2048, 557)))
+    def test_unit_rows_are_where_gauss_underflows(self, L, N, unit):
+        grid = fr.build_grid(L, N)
+        op = fr.assemble_operator(1, grid)
+        k = fr._deflated_size(op.matrix)
+        assert N - k == unit
+        assert np.array_equal(np.flatnonzero(fr._gauss(grid) == 0.0),
+                              np.arange(k, N))
+        tail = op.matrix[k:]
+        assert np.array_equal(tail[:, k:], np.eye(N - k))
+        assert not np.any(tail[:, :k])
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_vectors_vanish_on_deflated_rows(self, grid6, which):
+        op = fr.assemble_operator(which, grid6)
+        k = fr._deflated_size(op.matrix)
+        n = grid6.N
+        r = fr.numerical_index(op)
+        assert len(r.ker_vectors) == len(r.coker_vectors) == 1
+        for v in r.ker_vectors + r.coker_vectors:
+            assert np.all(v[k:n] == 0.0) and np.all(v[n + k:] == 0.0)
+            assert np.all(v[:k] != 0.0)
+
+    @pytest.mark.parametrize("perturb", (False, True))
+    def test_deflated_and_undeflated_match_dense_svd(self, perturb):
+        grid = fr.build_grid(8.0, 64)
+        a = fr.assemble_operator(1, grid).matrix.copy()
+        if perturb:
+            # one entry left of the diagonal: the last row is no unit row
+            a[-1, 5] = 1e-3
+        op = fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+        k = fr._deflated_size(op.matrix)
+        assert (k == 64) if perturb else (k < 64)
+        full, _ = fr._weighted_sector(op)
+        dense = np.sort(np.concatenate([
+            np.linalg.svd(full, compute_uv=False), np.ones(64)]))
+        r = fr.numerical_index(op)
+        assert len(r.sing_vals_near_zero) == 1
+        gate = [r.sing_vals_near_zero[0],
+                r.sing_vals_near_zero[0] * r.gap_ratio]
+        # a dense SVD finds a value near 7e-8 to about eps * sigma_max
+        # absolute, not to 1e-9 relative
+        atol = 8 * np.finfo(float).eps * dense[-1]
+        assert np.allclose(gate, dense[:2], rtol=1e-9, atol=atol)
+        assert np.isclose(r.sigma_max, dense[-1], rtol=1e-9, atol=0.0)
+
+    def test_identity_deflates_fully(self):
+        ident = fr.DiscreteOperator(grid=fr.build_grid(1.0, 16),
+                                    matrix=np.eye(16), which=1)
+        assert fr._deflated_size(ident.matrix) == 0
+        r = fr.numerical_index(ident)
+        assert (r.dim_ker, r.dim_coker, r.index) == (0, 0, 0)
+        assert r.sigma_max == 1.0
+
+    def test_sigma_max_cap_fails_closed(self, monkeypatch):
+        op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
+        sector, _ = fr._weighted_sector(op, fr._deflated_size(op.matrix))
+        want = np.linalg.svd(sector, compute_uv=False)[0]
+        assert np.isclose(fr._sigma_max(sector), want, rtol=1e-9, atol=0.0)
+        monkeypatch.setattr(fr, "_SIGMA_CAP", 2)
+        with pytest.raises(fr.NotConverged, match="sigma_max") as info:
+            fr._sigma_max(sector)
+        assert info.value.iterations == 2
+        with pytest.raises(fr.NotConverged, match="sigma_max"):
+            fr.numerical_index(op)
+
+    @pytest.mark.parametrize("row", (10, 63))
+    def test_zero_diagonal_raises_before_iterating(self, row, monkeypatch):
+        def no_iteration(*args):
+            raise AssertionError("iterated before the diagonal check")
+
+        monkeypatch.setattr(fr, "_sigma_max", no_iteration)
+        monkeypatch.setattr(fr, "_sector_triples", no_iteration)
+        # unit rows after the zero stay deflated; the zero is in the
+        # leading block either way
+        a = np.eye(64)
+        a[row, row] = 0.0
+        op = fr.DiscreteOperator(grid=fr.build_grid(8.0, 64), matrix=a,
+                                 which=1)
+        with pytest.raises(fr.BadParams,
+                           match=f"exactly singular.*row {row}"):
+            fr.numerical_index(op)
