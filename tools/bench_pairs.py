@@ -21,6 +21,12 @@ better in the metric's direction, ties counting for neither.  With
 seed, the side that runs first again alternating, and their per-layer
 metrics are stored as they are.
 
+After the pairs, each side also runs the tier-1 suite once
+(``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``)
+and acceptance criterion 7 once, the side that runs first alternating;
+their wall times, exit codes and pytest summary lines go under
+``suites``.
+
 Every workload runs with the same seeds, and the output file is written
 afresh from the runs of this invocation only.
 """
@@ -29,14 +35,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SUITES = {
+    "tier1": ["--continue-on-collection-errors"],
+    "criterion_07": [
+        "tests/test_acceptance.py::test_criterion_07_fredholm_index_pair"],
+}
 
 
 def _seeds(text: str) -> list[int]:
@@ -100,6 +113,24 @@ def _run(tree: Path, workload: str, seed: int, seconds: float,
     return result
 
 
+def _suite(tree: Path, name: str) -> dict:
+    """One timed pytest run of a suite in a tree, with src on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           *SUITES[name]], cwd=tree, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, check=False)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    print(f"{tree.name:6s} {name}: {wall:.1f} s, exit {proc.returncode}",
+          file=sys.stderr, flush=True)
+    return {"wall_s": round(wall, 3), "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def _side_stats(runs: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
                       if len(runs) > 1 else (runs[0],) * 3)
@@ -160,6 +191,9 @@ def main(argv=None) -> int:
                          "the change reads better, ties counting for neither",
             "traced": "one --trace 1 run per side at each traced seed for "
                       "the per-layer numbers, after the untraced pairs",
+            "suites": "one timed run per side of the tier-1 suite and of "
+                      "acceptance criterion 7 after all pairs, the side that "
+                      "runs first alternating from suite to suite",
             "script": "tools/bench_pairs.py",
         },
         "workloads": {},
@@ -191,6 +225,11 @@ def main(argv=None) -> int:
                         "correct": p[s]["correct"]}
                         for seed, p in zip(args.traced_seeds, traced)}
                     for s in SIDES}
+        doc["suites"] = {}
+        for i, name in enumerate(SUITES):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            doc["suites"][name] = {side: _suite(trees[side], name)
+                                   for side in order}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
