@@ -212,8 +212,11 @@ class TestIndex:
     def test_identity_has_zero_index(self):
         ident = fr.DiscreteOperator(grid=fr.build_grid(1.0, 16),
                                     matrix=np.eye(16), which=1)
+        # every row is a unit row: nothing is left to iterate on
+        assert fr._deflated_size(ident.matrix) == 0
         r = fr.numerical_index(ident)
         assert (r.dim_ker, r.dim_coker, r.index) == (0, 0, 0)
+        assert r.sigma_max == 1.0
 
     def test_coarse_64_still_resolves(self):
         # N=64 passes the step gate; the index is already clean there
@@ -542,14 +545,6 @@ class TestDeflation:
         atol = 8 * np.finfo(float).eps * dense[-1]
         assert np.allclose(gate, dense[:2], rtol=1e-9, atol=atol)
         assert np.isclose(r.sigma_max, dense[-1], rtol=1e-9, atol=0.0)
-
-    def test_identity_deflates_fully(self):
-        ident = fr.DiscreteOperator(grid=fr.build_grid(1.0, 16),
-                                    matrix=np.eye(16), which=1)
-        assert fr._deflated_size(ident.matrix) == 0
-        r = fr.numerical_index(ident)
-        assert (r.dim_ker, r.dim_coker, r.index) == (0, 0, 0)
-        assert r.sigma_max == 1.0
 
     def test_sigma_max_cap_fails_closed(self, monkeypatch):
         op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
