@@ -35,7 +35,7 @@ from .lie_core import (
     ad_matrix,
     bracket,
     change_basis,
-    derived_series_length,
+    derived_series,
     derived_subalgebra,
     noise_floor,
     numeric_rank,
@@ -128,10 +128,6 @@ class MD4Label:
 # ---------------------------------------------------------------------------
 # Shared helpers.
 # ---------------------------------------------------------------------------
-
-def _is_solvable(g: LieAlgebra) -> bool:
-    return derived_series_length(g) is not None
-
 
 def _restricted_ad(g: LieAlgebra, sub: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix of ad_v on span(sub) in the (orthonormal) column basis of sub."""
@@ -583,11 +579,12 @@ def classify_md4(g: LieAlgebra, seed: int = 0) -> MD4Label:
     """
     if g.dim != 4:
         raise DimensionMismatch(f"classify_md4 needs dim 4, got {g.dim}")
-    if not _is_solvable(g):
+    series, length = derived_series(g)
+    if length is None:
         raise NotSolvableError("derived series does not reach zero")
 
     scale = 1.0 + float(np.abs(g.c).max())
-    W = derived_subalgebra(g)
+    W = series[1]
     if W.dim == 0:
         return MD4Label("DecomposableRnPlus", decomposition=(4, "abelian"))
     if W.dim == 1:

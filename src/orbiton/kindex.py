@@ -3,6 +3,11 @@
 Finitely generated abelian groups, Smith normal form, exactness of
 six-term sequences, winding numbers of matrix loops, and the
 connecting-map fixtures of the orbit-space extensions.
+
+A matrix loop is sampled a whole grid at a time: its sampler takes a 1-D
+array of m parameters and returns an (m, n, n) stack (a scalar parameter
+gives one (n, n) matrix), so a winding number costs one sampler call.
+The library loops are written with numpy elementwise operations.
 """
 
 from __future__ import annotations
@@ -361,13 +366,30 @@ def six_term_check(d: SixTermDiagram) -> dict:
 
 @dataclass(frozen=True)
 class MatrixLoop:
-    """Parametrized invertible complex matrix on a closed interval."""
-    sampler: Callable[[float], np.ndarray]
+    """Parametrized invertible complex matrix on a closed interval.
+
+    ``sampler`` takes the parameter as a scalar or as a 1-D array of m
+    values and returns an (n, n) matrix or an (m, n, n) stack, entry k
+    belonging to parameter k.  :meth:`sample` checks that shape and raises
+    ValueError on any other; it never broadcasts.
+    """
+    sampler: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
     endpoints_equal: bool = True
 
-    def sample(self, t: float) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.sampler(t), dtype=complex))
+    def sample(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError(
+                f"loop parameters must be a scalar or 1-D, got shape {t.shape}")
+        mats = np.asarray(self.sampler(t), dtype=complex)
+        shape = mats.shape
+        if (len(shape) != t.ndim + 2 or shape[:t.ndim] != t.shape
+                or shape[-1] != shape[-2]):
+            want = ", ".join([*map(str, t.shape), "n", "n"])
+            raise ValueError(
+                f"sampler returned shape {shape}, expected ({want})")
+        return np.ascontiguousarray(mats)
 
 
 @dataclass(frozen=True)
@@ -383,7 +405,8 @@ WINDING_INT_ATOL = 1e-6
 def winding_number(loop: MatrixLoop, grid: int = 4001) -> WindingResult:
     """(1/2pi i) * integral of Tr(f' f^{-1}), f' by central differences.
 
-    The raw quadrature value must land within 1e-6 of an integer, which is
+    The loop is sampled on the whole grid in one call of its sampler.  The
+    raw quadrature value must land within 1e-6 of an integer, which is
     returned alongside it.
     """
     if grid < 5:
@@ -391,7 +414,7 @@ def winding_number(loop: MatrixLoop, grid: int = 4001) -> WindingResult:
     a, b = loop.domain
     ts = np.linspace(a, b, grid)
     h = ts[1] - ts[0]
-    mats = np.stack([loop.sample(t) for t in ts])
+    mats = loop.sample(ts)
     dets = np.linalg.det(mats)
     if np.abs(dets).min() <= MIN_LOOP_DET:
         raise SingularLoop("loop determinant at or below 1e-8 on the grid")
@@ -499,8 +522,15 @@ def idempotent_p(phi: float, r: float) -> np.ndarray:
 
 
 def constant_loop(mat, domain=(0.0, 1.0)) -> MatrixLoop:
+    """The loop that stays at mat; its sampler broadcasts mat to every t."""
     m = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return MatrixLoop(lambda t: m, domain)
+    return MatrixLoop(lambda t: np.broadcast_to(m, np.shape(t) + m.shape),
+                      domain)
+
+
+def _phase_matrices(phase: np.ndarray) -> np.ndarray:
+    """exp(2 pi i * phase) as a stack of 1 x 1 matrices."""
+    return np.exp(2j * np.pi * phase)[..., None, None]
 
 
 def u_plus_loop(eps: float = 5e-5) -> MatrixLoop:
@@ -509,20 +539,20 @@ def u_plus_loop(eps: float = 5e-5) -> MatrixLoop:
     The substitution t = s/(1-s) maps [0, 1-eps] onto [0, (1-eps)/eps];
     the tail phase change beyond that is below 1e-8 for eps = 5e-5.
     """
-    def sampler(s: float) -> np.ndarray:
+    def sampler(s: np.ndarray) -> np.ndarray:
         t = s / (1.0 - s)
-        phase = t / math.sqrt(1.0 + t * t)
-        return np.array([[cmath.exp(2j * math.pi * phase)]])
+        return _phase_matrices(t / np.sqrt(1.0 + t * t))
     return MatrixLoop(sampler, (0.0, 1.0 - eps))
 
 
-def _idempotent_exp_loop(p: np.ndarray, phase_fn: Callable[[float], float],
+def _idempotent_exp_loop(p: np.ndarray,
+                         phase_fn: Callable[[np.ndarray], np.ndarray],
                          domain: tuple[float, float]) -> MatrixLoop:
     eye = np.eye(p.shape[0], dtype=complex)
 
-    def sampler(t: float) -> np.ndarray:
+    def sampler(t: np.ndarray) -> np.ndarray:
         # exp(2 pi i g p) = I + (e^{2 pi i g} - 1) p for an idempotent p.
-        return eye + (cmath.exp(2j * math.pi * phase_fn(t)) - 1.0) * p
+        return eye + (_phase_matrices(phase_fn(t)) - 1.0) * p
     return MatrixLoop(sampler, domain)
 
 
@@ -538,13 +568,13 @@ def half_line_lift_loops(eps: Optional[float] = None
         eps = float(fx["eps"])
     p = idempotent_p(float(fx["p_phi_over_pi"]) * math.pi, float(fx["p_r"]))
 
-    def g(t: float) -> float:
-        return t / math.sqrt(1.0 + t * t)
+    def g(t: np.ndarray) -> np.ndarray:
+        return t / np.sqrt(1.0 + t * t)
 
     hi = 1.0 - eps
     plus = _idempotent_exp_loop(p, lambda s: g(s / (1.0 - s)), (0.0, hi))
 
-    def t_minus(s: float) -> float:
+    def t_minus(s: np.ndarray) -> np.ndarray:
         u = hi - s
         return -u / (1.0 - u)
 
@@ -573,9 +603,8 @@ def vertex_lift_loops() -> list[list[MatrixLoop]]:
             a, b = bps[i], bps[i + 1]
             va, vb = float(values[i]), float(values[i + 1])
 
-            def sampler(t: float, a=a, b=b, va=va, vb=vb) -> np.ndarray:
-                lift = va + (vb - va) * (t - a) / (b - a)
-                return np.array([[cmath.exp(2j * math.pi * lift)]])
+            def sampler(t: np.ndarray, a=a, b=b, va=va, vb=vb) -> np.ndarray:
+                return _phase_matrices(va + (vb - va) * (t - a) / (b - a))
             loops.append(MatrixLoop(sampler, (a, b)))
         fams.append(loops)
     return fams

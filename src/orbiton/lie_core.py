@@ -29,6 +29,7 @@ __all__ = [
     "exp_ad",
     "expm",
     "derived_subalgebra",
+    "derived_series",
     "derived_series_length",
     "numeric_rank",
     "noise_floor",
@@ -350,12 +351,27 @@ class Subspace:
         return Subspace(self.ambient_dim, u[:, self.dim:].copy())
 
 
+def _derived_step(g: LieAlgebra, stage: Subspace, floor: float) -> Subspace:
+    """[h, h] for the stage h: the span of the pairwise brackets of its basis."""
+    b = stage.basis_matrix
+    r = b.shape[1]
+    cols = [
+        np.einsum("i,j,ijk->k", b[:, a], b[:, b2], g.c)
+        for a in range(r)
+        for b2 in range(a + 1, r)
+    ]
+    if not cols:
+        return Subspace.zero(g.dim)
+    return Subspace.from_columns(np.column_stack(cols), g.dim, atol=floor)
+
+
 def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:
     """k-th derived ideal g^(k); k=0 returns the whole algebra.
 
-    Computed as the span of all pairwise brackets of a basis of the previous
-    stage.  Bracket columns of an abelian stage are pure roundoff, so the
-    rank rule gets an absolute floor tied to the size of the structure
+    Each stage is the span of all pairwise brackets of a basis of the
+    previous one (``_derived_step``, shared with :func:`derived_series`).
+    Bracket columns of an abelian stage are pure roundoff, so the rank
+    rule gets an absolute floor tied to the size of the structure
     constants on top of the relative SVD rule.
     """
     if k < 0:
@@ -363,35 +379,42 @@ def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:
     floor = noise_floor(g)
     current = Subspace.full(g.dim)
     for _ in range(k):
-        b = current.basis_matrix
-        r = b.shape[1]
-        if r == 0:
+        if current.dim == 0:
             return current
-        cols = [
-            np.einsum("i,j,ijk->k", b[:, a], b[:, b2], g.c)
-            for a in range(r)
-            for b2 in range(a + 1, r)
-        ]
-        if not cols:
-            return Subspace.zero(g.dim)
-        current = Subspace.from_columns(np.column_stack(cols), g.dim,
-                                        atol=floor)
+        current = _derived_step(g, current, floor)
     return current
 
 
-def derived_series_length(g: LieAlgebra, max_steps: int | None = None) -> int | None:
-    """Steps until the derived series reaches 0, or None if it stabilizes nonzero."""
+def derived_series(g: LieAlgebra, max_steps: int | None = None
+                   ) -> tuple[list[Subspace], int | None]:
+    """Stages g^(0), g^(1), ... of the derived series, and its length.
+
+    The series is walked once, one bracket pass per stage, with the step
+    of :func:`derived_subalgebra`, so stage k equals derived_subalgebra(g,
+    k) bit for bit.  The walk stops at the first zero stage, whose index
+    is the length, or at the first stage that does not shrink, or after
+    ``max_steps`` steps (default dim + 1); the length is None in the last
+    two cases.
+    """
     limit = max_steps if max_steps is not None else g.dim + 1
-    prev = g.dim + 1
-    sub = Subspace.full(g.dim)
+    floor = noise_floor(g)
+    series = [Subspace.full(g.dim)]
     for k in range(limit + 1):
-        if sub.dim == 0:
-            return k
-        if sub.dim >= prev and k > 0:
-            return None
-        prev = sub.dim
-        sub = derived_subalgebra(g, k + 1)
-    return None
+        if series[-1].dim == 0:
+            return series, k
+        if k > 0 and series[-1].dim >= series[-2].dim:
+            return series, None
+        if k < limit:
+            series.append(_derived_step(g, series[-1], floor))
+    return series, None
+
+
+def derived_series_length(g: LieAlgebra, max_steps: int | None = None) -> int | None:
+    """Steps until the derived series reaches 0, or None if it stabilizes nonzero.
+
+    Read off :func:`derived_series`, which walks the series once.
+    """
+    return derived_series(g, max_steps)[1]
 
 
 def load_algebra_json(source) -> LieAlgebra:

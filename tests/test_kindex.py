@@ -150,6 +150,74 @@ class TestWinding:
             kx.winding_number(kx.u_plus_loop(), grid=7)
 
 
+def _library_loops():
+    loops = [kx.u_plus_loop(), kx.constant_loop(np.diag([1.0, 2.0]))]
+    loops += kx.half_line_lift_loops()[0]
+    for fam in kx.vertex_lift_loops():
+        loops += fam
+    return loops
+
+
+class TestSamplerContract:
+    def test_scalar_gives_matrix_and_array_gives_stack(self):
+        for loop in _library_loops():
+            a, b = loop.domain
+            ts = np.linspace(a, b, 7)
+            stack = loop.sample(ts)
+            n = stack.shape[-1]
+            assert stack.shape == (7, n, n)
+            assert stack.dtype == complex
+            for t, mat in zip(ts, stack):
+                one = loop.sample(t)
+                assert one.shape == (n, n)
+                assert np.array_equal(one, mat)
+
+    def test_constant_loop_broadcasts(self):
+        loop = kx.constant_loop(np.diag([1.0, 2.0]))
+        stack = loop.sample(np.linspace(0.0, 1.0, 5))
+        assert stack.shape == (5, 2, 2)
+        assert (stack == np.diag([1.0, 2.0])).all()
+
+    @pytest.mark.parametrize("sampler, got", [
+        (lambda t: np.eye(2), "(2, 2)"),
+        (lambda t: np.exp(1j * t), "(6,)"),
+        (lambda t: np.zeros(np.shape(t) + (2, 3)), "(6, 2, 3)"),
+        (lambda t: np.ones((7, 1, 1)), "(7, 1, 1)"),
+        (lambda t: np.ones((6, 1, 1, 1)), "(6, 1, 1, 1)"),
+    ])
+    def test_other_shapes_raise(self, sampler, got):
+        loop = kx.MatrixLoop(sampler, (0.0, 1.0))
+        with pytest.raises(ValueError) as err:
+            loop.sample(np.linspace(0.0, 1.0, 6))
+        assert f"shape {got}, expected (6, n, n)" in str(err.value)
+
+    def test_scalar_sample_must_be_a_matrix(self):
+        loop = kx.MatrixLoop(lambda t: np.exp(1j * t), (0.0, 1.0))
+        with pytest.raises(ValueError, match=r"shape \(\), expected \(n, n\)"):
+            loop.sample(0.5)
+
+    def test_winding_rejects_a_per_point_sampler(self):
+        # a sampler that ignores its array argument is never broadcast
+        loop = kx.MatrixLoop(lambda t: np.eye(1), (0.0, 1.0))
+        with pytest.raises(ValueError, match=r"expected \(4001, n, n\)"):
+            kx.winding_number(loop)
+
+    def test_two_dimensional_parameters_raise(self):
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            kx.u_plus_loop().sample(np.zeros((2, 2)))
+
+    def test_winding_makes_one_sampler_call(self):
+        up = kx.u_plus_loop()
+        calls = []
+
+        def sampler(t):
+            calls.append(np.shape(t))
+            return up.sampler(t)
+        w = kx.winding_number(kx.MatrixLoop(sampler, up.domain))
+        assert calls == [(4001,)]
+        assert w == kx.winding_number(up)
+
+
 class TestLiftFixtures:
     def test_idempotent_residual(self):
         fx = kx.load_fixture("lifts")["idempotent"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from orbiton import families, lie_core as lc
+from orbiton import classify, families, lie_core as lc
 
 from conftest import family_fixtures, random_gl
 
@@ -166,6 +166,62 @@ class TestDerivedSeries:
         assert lc.derived_series_length(families.abelian(4)) == 1
         assert lc.derived_series_length(families.build_family("g442")) == 3
         assert lc.derived_series_length(families.aff_r()) == 2
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        calls = []
+        step = lc._derived_step
+
+        def counting(g, stage, floor):
+            calls.append(stage.dim)
+            return step(g, stage, floor)
+        monkeypatch.setattr(lc, "_derived_step", counting)
+        return calls
+
+    def test_one_bracket_pass_per_stage(self, monkeypatch):
+        calls = self._count_steps(monkeypatch)
+        assert lc.derived_series_length(families.build_family("g442")) == 3
+        assert calls == [4, 3, 1]
+        for _, _, g in family_fixtures():
+            calls.clear()
+            length = lc.derived_series_length(g)
+            assert len(calls) == length
+
+    def test_classify_md4_walks_the_series_once(self, monkeypatch):
+        calls = self._count_steps(monkeypatch)
+        for _, _, g in family_fixtures():
+            length = lc.derived_series_length(g)
+            calls.clear()
+            classify.classify_md4(g)
+            assert len(calls) == length
+
+    def test_stages_equal_derived_subalgebra(self):
+        rng = np.random.default_rng(77)
+        cases = []
+        for _, _, g in family_fixtures():
+            length = lc.derived_series_length(g)
+            cases += [(lc.change_basis(g, random_gl(rng)), length)
+                      for _ in range(20)]
+        aff_r2 = np.zeros((4, 4, 4))
+        _set_bracket(aff_r2, 0, 1, 1, 1.0)
+        _set_bracket(aff_r2, 2, 3, 3, 1.0)
+        cases.append((lc.validate_algebra(aff_r2), 2))
+        so3 = np.zeros((4, 4, 4))
+        _set_bracket(so3, 0, 1, 2, 1.0)
+        _set_bracket(so3, 1, 2, 0, 1.0)
+        _set_bracket(so3, 2, 0, 1, 1.0)
+        cases.append((lc.validate_algebra(so3), None))
+        for g, want in cases:
+            series, length = lc.derived_series(g)
+            assert length == want == lc.derived_series_length(g)
+            if length is None:
+                assert series[-1].dim == series[-2].dim > 0
+            else:
+                assert len(series) == length + 1
+            for k, stage in enumerate(series):
+                ref = lc.derived_subalgebra(g, k).basis_matrix
+                assert stage.basis_matrix.shape == ref.shape
+                assert stage.basis_matrix.tobytes() == ref.tobytes()
 
 
 class TestChangeBasis:
