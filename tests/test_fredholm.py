@@ -1,7 +1,9 @@
 """Log-grid discretization of the half-line operators and their indices."""
 
+import functools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -266,22 +268,70 @@ def _sector_spectrum(op, monkeypatch):
     return np.sort(np.concatenate([sig, np.ones(8)]))[:8]
 
 
+_MP_STEPS = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_value_mp(sector_bytes: bytes, n: int) -> float:
+    """Smallest singular value of a lower-triangular n x n float block.
+
+    Inverse iteration on M^T M in 40-digit mpmath, with the float entries
+    taken exactly, from a seeded start.  The gap ratio of the sectors is
+    about 1e6, so each step gains about 12 digits and _MP_STEPS = 4 steps
+    settle the value far below double precision; the last step must move
+    it by less than 1e-30.  Cached on the block's bytes, so the two
+    operators, whose sectors are bitwise equal, share one reference.
+    """
+    m = np.frombuffer(sector_bytes).reshape(n, n)
+    with mpmath.workdps(40):
+        a = [[mpmath.mpf(float(v)) for v in row[:i + 1]]
+             for i, row in enumerate(m)]
+        x = [mpmath.mpf(float(v))
+             for v in np.random.default_rng(n).standard_normal(n)]
+        sigma = prev = None
+        for _ in range(_MP_STEPS):
+            y = []  # y = M^{-T} x by back substitution
+            for i in reversed(range(n)):
+                acc = x[i] - mpmath.fsum(a[j][i] * y[n - 1 - j]
+                                         for j in range(i + 1, n))
+                y.append(acc / a[i][i])
+            y.reverse()
+            x = []  # x = M^{-1} y by forward substitution
+            for i in range(n):
+                acc = y[i] - mpmath.fsum(a[i][j] * x[j] for j in range(i))
+                x.append(acc / a[i][i])
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+            x = [v / norm for v in x]
+            mx = [mpmath.fsum(a[i][j] * x[j] for j in range(i + 1))
+                  for i in range(n)]
+            prev, sigma = sigma, mpmath.sqrt(mpmath.fsum(v * v for v in mx))
+        assert abs(sigma - prev) < mpmath.mpf("1e-30") * sigma
+        return float(sigma)
+
+
 class TestSector:
     @pytest.mark.parametrize("N", (64, 128))
     @pytest.mark.parametrize("which", (1, 2))
     def test_smallest_values_match_dense_svd(self, which, N, monkeypatch):
+        # A dense SVD resolves the kernel value (about 7e-8) only to about
+        # eps * sigma_max absolute, so that value is compared with the
+        # 40-digit reference instead; the values near 1 with the dense SVD.
         grid = fr.build_grid(8.0, N)
         op = fr.assemble_operator(which, grid)
+        sector, _ = fr._weighted_sector(op)
+        assert not np.triu(sector, 1).any()
+        kernel = _kernel_value_mp(sector.tobytes(), N)
         dense = np.linalg.svd(_full_weighted(which, grid),
                               compute_uv=False)[::-1]
         r = fr.numerical_index(op)
         # the values the gap gate reads: the kernel value and the next one
         assert len(r.sing_vals_near_zero) == 1
-        gate = [r.sing_vals_near_zero[0],
-                r.sing_vals_near_zero[0] * r.gap_ratio]
-        assert np.allclose(gate, dense[:2], rtol=1e-9, atol=0.0)
+        sigma = r.sing_vals_near_zero[0]
+        assert np.isclose(sigma, kernel, rtol=1e-12, atol=0.0)
+        assert np.isclose(sigma * r.gap_ratio, dense[1], rtol=1e-9, atol=0.0)
         got = _sector_spectrum(op, monkeypatch)
-        assert np.allclose(got, dense[:8], rtol=1e-9, atol=0.0)
+        assert np.isclose(got[0], kernel, rtol=1e-12, atol=0.0)
+        assert np.allclose(got[1:], dense[1:8], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("which", (1, 2))
     def test_full_spectrum_is_sector_plus_ones(self, which):
