@@ -21,11 +21,11 @@ better in the metric's direction, ties counting for neither.  With
 seed, the side that runs first again alternating, and their per-layer
 metrics are stored as they are.
 
-After the pairs, each side also runs the tier-1 suite once
-(``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``)
-and acceptance criterion 7 once, the side that runs first alternating;
-their wall times, exit codes and pytest summary lines go under
-``suites``.
+After the pairs, each side also runs each pytest suite of ``SUITES``
+once, with src on the path and the side that runs first alternating: the
+tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
+7 and 8, and the whole acceptance file.  Their wall times, exit codes
+and pytest summary lines go under ``suites``.
 
 Every workload runs with the same seeds, and the output file is written
 afresh from the runs of this invocation only.
@@ -49,6 +49,10 @@ SUITES = {
     "tier1": ["--continue-on-collection-errors"],
     "criterion_07": [
         "tests/test_acceptance.py::test_criterion_07_fredholm_index_pair"],
+    "criterion_08": [
+        "tests/test_acceptance.py::"
+        "test_criterion_08_winding_and_delta0_fixtures"],
+    "acceptance": ["tests/test_acceptance.py"],
 }
 
 
@@ -191,9 +195,10 @@ def main(argv=None) -> int:
                          "the change reads better, ties counting for neither",
             "traced": "one --trace 1 run per side at each traced seed for "
                       "the per-layer numbers, after the untraced pairs",
-            "suites": "one timed run per side of the tier-1 suite and of "
-                      "acceptance criterion 7 after all pairs, the side that "
-                      "runs first alternating from suite to suite",
+            "suites": "one timed run per side of the tier-1 suite, of "
+                      "acceptance criteria 7 and 8 and of the whole "
+                      "acceptance file after all pairs, the side that runs "
+                      "first alternating from suite to suite",
             "script": "tools/bench_pairs.py",
         },
         "workloads": {},
