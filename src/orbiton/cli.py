@@ -542,8 +542,6 @@ def run_fredholm(cfg: RunConfig):
     report = {
         "schema": 1,
         "command": "fredholm",
-        "operators": [],
-        "convergence": [],
         "warnings": [],
         "status": "ok",
     }
@@ -551,46 +549,54 @@ def run_fredholm(cfg: RunConfig):
         report["warnings"].append(
             f"N={args.N} is coarse; indices are indicative only")
     code = EXIT_OK
-    indices = {}
+    entries = {}
+    rows = {}
+    # Rung by rung, the main rung first and each operator in turn on it,
+    # so that the second operator reuses the sector solve of the first
+    # (numerical_index keeps the last one); the report lists operators and
+    # rows operator by operator, each operator's rows in ladder order.
+    rungs = [main_rung] + [r for r in ladder if r != main_rung]
     try:
-        for which in which_list:
-            entry = _fredholm_single(which, *main_rung)
-            report["operators"].append(entry)
-            indices[which] = entry["result"]["index"]
-            if not entry["ok"]:
-                code = EXIT_CHECK_FAILED
-            for (L, N) in ladder:
+        for (L, N) in rungs:
+            for which in which_list:
                 if (L, N) == main_rung:
-                    row = entry["result"]
+                    entries[which] = _fredholm_single(which, L, N)
+                    row = entries[which]["result"]
+                    if not entries[which]["ok"]:
+                        code = EXIT_CHECK_FAILED
                 else:
                     grid = _fredholm.build_grid(L, N)
                     row = _fredholm.numerical_index(
                         _fredholm.assemble_operator(which, grid)).to_json()
-                report["convergence"].append({
+                rows[which, L, N] = {
                     "which": which, "L": L, "N": N,
                     "dim_ker": row["dim_ker"],
                     "dim_coker": row["dim_coker"],
                     "index": row["index"],
                     "gap_ratio": row["gap_ratio"],
-                })
+                }
     except (_fredholm.BadParams, _fredholm.GridTooCoarse):
         raise  # input errors; main() maps them to EXIT_INPUT_ERROR
     except _fredholm.FredholmError as exc:
         report["error"] = {"type": type(exc).__name__, "detail": str(exc),
                            "suggestion": "double N and rerun"}
+    report["operators"] = [entries[w] for w in which_list if w in entries]
+    report["convergence"] = [rows[w, L, N] for w in which_list
+                             for (L, N) in ladder if (w, L, N) in rows]
+    if "error" in report:
         report["status"] = "fail"
         return report, EXIT_CHECK_FAILED
-    ladder_ok = True
-    for which in which_list:
-        rows = [r for r in report["convergence"] if r["which"] == which]
-        if len({(r["dim_ker"], r["dim_coker"]) for r in rows}) > 1:
-            ladder_ok = False
+    ladder_ok = all(
+        len({(r["dim_ker"], r["dim_coker"]) for r in report["convergence"]
+             if r["which"] == which}) == 1
+        for which in which_list)
     if not ladder_ok:
         report["warnings"].append("index varies across the ladder")
         code = EXIT_CHECK_FAILED
     if len(which_list) == 2:
-        report["index_pair"] = [indices[1], indices[2]]
-        report["summary"] = f"index ({indices[1]},{indices[2]})"
+        indices = [entries[w]["result"]["index"] for w in (1, 2)]
+        report["index_pair"] = indices
+        report["summary"] = f"index ({indices[0]},{indices[1]})"
     report["status"] = "ok" if code == EXIT_OK else "fail"
     return report, code
 

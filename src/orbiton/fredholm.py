@@ -32,10 +32,20 @@ four columns.  The stored block is built that way, one N x N copy that
 becomes the block in place; on the enlarged window of the stability test
 B is never formed, only applied from those generators, a convolution
 with the weights plus the four correction columns.
+
+Since S_1 and S_2 store the same block, they share one sector solve:
+sigma_max and the smallest singular triples of the block are kept in a
+one-slot memo, keyed by the SHA-256 of the block's rows and of the
+weights it is conjugated with, the threshold policy and the iteration
+constants read at call time.  Asking for S_2 right after S_1 on one grid
+reuses the solve, and every other step (the gap logic, the parity lift,
+the stability residuals) runs for each operator.  The index data are the
+same bit for bit as those of a fresh solve.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -90,6 +100,8 @@ _PROBE = 8
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
 _SIGMA_CAP = 40
+# Entries per row block of the constructor's triangularity check.
+_CHECK_ENTRIES = 1 << 16
 
 
 class FredholmError(Exception):
@@ -275,10 +287,20 @@ class DiscreteOperator:
             raise BadParams(
                 f"matrix shape {self.matrix.shape} does not match the grid "
                 f"(N = {n})")
-        # One row at a time, so the check allocates no N x N temporary;
-        # np.max propagates NaN like a whole-matrix max.
-        upper = np.max([np.max(np.abs(row[i + 1:]), initial=0.0)
-                        for i, row in enumerate(self.matrix)])
+        # Row blocks of about _CHECK_ENTRIES entries, so the check makes
+        # no N x N temporary: right of its square a block lies wholly above
+        # the diagonal, inside it only above the square's diagonal.  max
+        # and -min instead of abs need no copy of the rectangle, and both
+        # propagate NaN like a whole-matrix max.
+        rows = max(1, _CHECK_ENTRIES // n)
+        extremes = []
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            for part in (self.matrix[i:j, j:],
+                         np.triu(self.matrix[i:j, i:j], 1)):
+                extremes += [np.max(part, initial=0.0),
+                             -np.min(part, initial=0.0)]
+        upper = np.max(extremes, initial=0.0)
         if upper != 0.0:
             raise BadParams(
                 f"parity block is not lower-triangular: largest deviation "
@@ -504,6 +526,55 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
     return vals, rights, lefts, step
 
 
+# The last sector solve as (key, solve); see _sector_solve.
+_last_solve = None
+
+
+def _solve_key(op: DiscreteOperator, k: int, root: np.ndarray,
+               threshold_policy: Union[str, float]) -> tuple:
+    """Everything the sector solve reads.
+
+    The SHA-256 of the rows of the leading k x k block (with its dtype)
+    and of W^(1/2) on those rows, k, the threshold policy, and _PROBE,
+    _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as they stand at call time.
+    """
+    digest = hashlib.sha256(op.matrix.dtype.str.encode())
+    for row in op.matrix[:k]:
+        digest.update(np.ascontiguousarray(row[:k]))
+    digest.update(np.ascontiguousarray(root[:k]))
+    return (digest.digest(), k, threshold_policy, _PROBE, _ITER_RTOL,
+            _ITER_CAP, _SIGMA_CAP)
+
+
+def _sector_solve(op: DiscreteOperator, k: int, root: np.ndarray,
+                  threshold_policy: Union[str, float]) -> tuple:
+    """sigma_max and the smallest singular triples of the leading block.
+
+    Returns (sigma_max, values, right vectors, left vectors, steps), the
+    arrays read-only.  S_1 and S_2 on one grid store the same block, so
+    the last solve is kept in a one-slot memo under _solve_key and the
+    second operator reuses it; a solve that raises leaves the slot as it
+    was.
+    """
+    global _last_solve
+    key = _solve_key(op, k, root, threshold_policy)
+    # One read of the slot: another thread may replace it meanwhile.
+    last = _last_solve
+    if last is not None and last[0] == key:
+        return last[1]
+    sector, _ = _weighted_sector(op, k)
+    sigma_max = max(_sigma_max(sector), 1.0)
+    gate = (NEAR_ZERO_FACTOR * sigma_max if isinstance(threshold_policy, str)
+            else float(threshold_policy))
+    sig, rights, lefts, iterations = _sector_triples(
+        sector, min(_PROBE, k), gate)
+    for a in (sig, rights, lefts):
+        a.setflags(write=False)
+    solve = (sigma_max, sig, rights, lefts, iterations)
+    _last_solve = (key, solve)
+    return solve
+
+
 class _Window:
     """The sector block I - 2 B on a window enlarged by 2 in L, same step.
 
@@ -581,20 +652,28 @@ def numerical_index(op: DiscreteOperator,
     the cut at the largest ratio jump among singular values below
     1e-3 * sigma_max and demands that jump exceed 100 (GapTooSmall
     otherwise); a float is used as an absolute cut instead.
+
+    sigma_max and the sector's singular triples are computed once per
+    block: the last solve is kept in a one-slot memo keyed by the SHA-256
+    of the rows of the leading block and of W^(1/2) on them, the deflated
+    size, threshold_policy and the iteration constants (_PROBE,
+    _ITER_RTOL, _ITER_CAP, _SIGMA_CAP) as they stand at the call.  So S_2
+    right after S_1 on one grid reuses S_1's solve and gives the same
+    data as a fresh solve; a changed constant or a one-ulp change of an
+    entry is a miss, and a solve that raises is not kept.  The deflation
+    check, the gap logic, the parity lift and the stability residuals run
+    on every call.
     """
     fixed_cut = isinstance(threshold_policy, (int, float))
     if not fixed_cut and threshold_policy != "relative-gap":
         raise BadParams(f"unknown threshold policy {threshold_policy!r}")
     k = _deflated_size(op.matrix)
-    sector, root = _weighted_sector(op, k)
     half = op.grid.N
     n = 2 * half
-    sigma_max = max(_sigma_max(sector), 1.0)
+    root = np.sqrt(op.grid.weights[:half])
+    sigma_max, sig, rights, lefts, iterations = _sector_solve(
+        op, k, root, threshold_policy)
     cap = NEAR_ZERO_FACTOR * sigma_max
-    gate = float(threshold_policy) if fixed_cut else cap
-    sig, rights, lefts, iterations = _sector_triples(
-        sector, min(_PROBE, k), gate)
-    del sector
     take = min(_PROBE, n)
     # A pool only holds values under 1: a cut above 1 takes in every unit
     # value, fills all `take` slots and raises GapTooSmall below.  So the

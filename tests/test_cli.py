@@ -250,6 +250,30 @@ class TestFredholm:
         assert doc["status"] == "fail"
         assert doc["error"]["type"] == "NotConverged"
 
+    def test_rows_listed_operator_by_operator(self, capsys, monkeypatch):
+        # The rungs run one by one, S2 reusing S1's sector solve on each;
+        # the report still lists each operator's rows in ladder order,
+        # the main rung (off the ladder here) last.
+        from orbiton import fredholm
+        solves = []
+        inner = fredholm._sector_triples
+
+        def counted(m, *args):
+            solves.append(m.shape[0])
+            return inner(m, *args)
+
+        monkeypatch.setattr(fredholm, "_last_solve", None)
+        monkeypatch.setattr(fredholm, "_sector_triples", counted)
+        code, doc = run_json(capsys, "fredholm", "--L", "8", "--N", "64",
+                             "--format", "json")
+        assert code == 0
+        assert [(r["which"], r["L"], r["N"]) for r in doc["convergence"]] \
+            == [(1, 6.0, 1024), (1, 8.0, 2048), (1, 8.0, 64),
+                (2, 6.0, 1024), (2, 8.0, 2048), (2, 8.0, 64)]
+        assert [(e["which"], e["L"], e["N"]) for e in doc["operators"]] \
+            == [(1, 8.0, 64), (2, 8.0, 64)]
+        assert len(solves) == 3
+
     def test_too_coarse_grid_is_input_error(self, capsys):
         code, _ = run(capsys, "fredholm", "--L", "8", "--N", "16")
         assert code == 3

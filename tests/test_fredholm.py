@@ -1,6 +1,7 @@
 """Log-grid discretization of the half-line operators and their indices."""
 
 import functools
+import json
 import tracemalloc
 
 import mpmath
@@ -442,6 +443,34 @@ class TestStreamedSector:
             fr.DiscreteOperator(grid=grid, matrix=a, which=1)
 
 
+    # Blocks of one row, of three rows (both defects right of their
+    # block's square) and of 64 rows (both inside it).
+    @pytest.mark.parametrize("rows", (1, 3, 64))
+    @ROWS
+    def test_row_blocks_report_global_largest(self, grid, small, big, rows,
+                                              monkeypatch):
+        monkeypatch.setattr(fr, "_CHECK_ENTRIES", rows * self.N)
+        a = fr.assemble_operator(1, grid).matrix.copy()
+        a[small - 2, small] -= 2e-4
+        a[big - 1, big + 1] -= 3e-3
+        with pytest.raises(fr.BadParams,
+                           match=r"lower-triangular.*deviation 0\.003$"):
+            fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+
+    @pytest.mark.parametrize("rows", (1, 3, 64))
+    @pytest.mark.parametrize("at", ((49, 50), (50, 51), (0, N - 1)))
+    def test_row_blocks_catch_nan(self, grid, rows, at, monkeypatch):
+        monkeypatch.setattr(fr, "_CHECK_ENTRIES", rows * self.N)
+        a = fr.assemble_operator(1, grid).matrix.copy()
+        a[at] = np.nan
+        with pytest.raises(fr.BadParams, match="lower-triangular.*nan"):
+            fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+        # below the diagonal NaN is no triangularity defect
+        a[at] = 0.0
+        a[at[::-1]] = np.nan
+        fr.DiscreteOperator(grid=grid, matrix=a, which=1)
+
+
 class TestBlock:
     """What the constructor refuses, and the read-only block."""
 
@@ -624,3 +653,132 @@ class TestDeflation:
         with pytest.raises(fr.BadParams,
                            match=f"exactly singular.*row {row}"):
             fr.numerical_index(op)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Empty the solve memo and record the size of each sector solved."""
+    calls = []
+    inner = fr._sector_triples
+
+    def counted(m, *args):
+        calls.append(m.shape[0])
+        return inner(m, *args)
+
+    monkeypatch.setattr(fr, "_last_solve", None)
+    monkeypatch.setattr(fr, "_sector_triples", counted)
+    return calls
+
+
+def _result_bytes(r) -> tuple:
+    """The sorted to_json text and the ker-then-coker vector bytes."""
+    return (json.dumps(r.to_json(), sort_keys=True),
+            b"".join(v.tobytes() for v in r.ker_vectors + r.coker_vectors))
+
+
+class TestSharedSolve:
+    """S_1 and S_2 on one grid share one sector solve, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return fr.build_grid(8.0, 64)
+
+    def test_s2_after_s1_equals_fresh_solve(self, grid6, grid, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(fr.assemble_operator(1, grid6))
+        op2 = fr.assemble_operator(2, grid6)
+        hit = fr.numerical_index(op2)
+        assert len(calls) == 1
+        fr.numerical_index(fr.assemble_operator(1, grid))
+        fresh = fr.numerical_index(op2)
+        assert len(calls) == 3
+        assert _result_bytes(hit) == _result_bytes(fresh)
+
+    def test_one_ulp_change_is_a_miss(self, grid, monkeypatch):
+        op = fr.assemble_operator(1, grid)
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(op)
+        # an equal copy is a hit
+        same = op.matrix.copy()
+        fr.numerical_index(fr.DiscreteOperator(grid=grid, matrix=same,
+                                               which=2))
+        assert len(calls) == 1
+        a = op.matrix.copy()
+        assert 40 < fr._deflated_size(a)
+        a[40, 7] = np.nextafter(a[40, 7], np.inf)
+        fr.numerical_index(fr.DiscreteOperator(grid=grid, matrix=a, which=1))
+        assert len(calls) == 2
+        # so is a weight of the leading block moved by one ulp
+        fr.numerical_index(op)
+        w = grid.weights.copy()
+        w[3] = np.nextafter(w[3], 0.0)
+        moved = fr.LogGrid(L=grid.L, N=grid.N, s=grid.s, nodes=grid.nodes,
+                           weights=w)
+        fr.numerical_index(fr.DiscreteOperator(grid=moved, matrix=op.matrix,
+                                               which=1))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("name,value", (
+        ("_PROBE", 7), ("_ITER_RTOL", 1e-11), ("_ITER_CAP", 59),
+        ("_SIGMA_CAP", 39)))
+    def test_constants_are_read_at_call_time(self, grid, name, value,
+                                             monkeypatch):
+        op = fr.assemble_operator(1, grid)
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(op)
+        monkeypatch.setattr(fr, name, value)
+        fr.numerical_index(op)
+        assert len(calls) == 2
+
+    def test_threshold_policy_is_keyed(self, grid, monkeypatch):
+        op = fr.assemble_operator(1, grid)
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(op)
+        fr.numerical_index(op, threshold_policy=1e-6)
+        fr.numerical_index(op, threshold_policy=1e-6)
+        assert len(calls) == 2
+
+    def test_iteration_cap_after_cached_solve(self, grid, monkeypatch):
+        op = fr.assemble_operator(1, grid)
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(op)
+        cap = fr._ITER_CAP
+        monkeypatch.setattr(fr, "_ITER_CAP", 1)
+        with pytest.raises(fr.NotConverged) as info:
+            fr.numerical_index(fr.assemble_operator(2, grid))
+        assert info.value.iterations == 1
+        # the failed solve is not kept: the converged one still is
+        monkeypatch.setattr(fr, "_ITER_CAP", cap)
+        fr.numerical_index(op)
+        assert len(calls) == 2
+
+    def test_index_pair_solves_once(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        pair = fr.index_pair(8.0, 64)
+        assert len(calls) == 1
+        assert (pair[1].index, pair[2].index) == (1, 1)
+
+    def test_cached_arrays_are_read_only(self, grid, monkeypatch):
+        _count_solves(monkeypatch)
+        fr.numerical_index(fr.assemble_operator(1, grid))
+        _, (_, *arrays, _) = fr._last_solve
+        assert len(arrays) == 3
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_hit_allocates_less_than_the_weighted_copy(self, grid6,
+                                                       monkeypatch):
+        op1 = fr.assemble_operator(1, grid6)
+        op2 = fr.assemble_operator(2, grid6)
+        k = fr._deflated_size(op1.matrix)
+        calls = _count_solves(monkeypatch)
+        fr.numerical_index(op1)
+        tracemalloc.start()
+        try:
+            fr.numerical_index(op2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1
+        assert peak < 8 * k * k, (peak / 2 ** 20, 8 * k * k / 2 ** 20)

@@ -21,11 +21,12 @@ better in the metric's direction, ties counting for neither.  With
 seed, the side that runs first again alternating, and their per-layer
 metrics are stored as they are.
 
-After the pairs, each side also runs each pytest suite of ``SUITES``
-once, with src on the path and the side that runs first alternating: the
+After the pairs, each side also runs each suite of ``SUITES`` once,
+with src on the path and the side that runs first alternating: the
 tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
-7 and 8, and the whole acceptance file.  Their wall times, exit codes
-and pytest summary lines go under ``suites``.
+7 and 8, the whole acceptance file, and ``orbiton all`` (text report).
+Their wall times, exit codes and last output lines (the pytest summary,
+the report's status line) go under ``suites``.
 
 Every workload runs with the same seeds, and the output file is written
 afresh from the runs of this invocation only.
@@ -45,14 +46,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Each suite is the argument list of one timed interpreter run.
+_PYTEST = ["-m", "pytest", "-q"]
 SUITES = {
-    "tier1": ["--continue-on-collection-errors"],
+    "tier1": [*_PYTEST, "--continue-on-collection-errors"],
     "criterion_07": [
+        *_PYTEST,
         "tests/test_acceptance.py::test_criterion_07_fredholm_index_pair"],
     "criterion_08": [
+        *_PYTEST,
         "tests/test_acceptance.py::"
         "test_criterion_08_winding_and_delta0_fixtures"],
-    "acceptance": ["tests/test_acceptance.py"],
+    "acceptance": [*_PYTEST, "tests/test_acceptance.py"],
+    "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
 }
 
 
@@ -118,15 +124,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: float,
 
 
 def _suite(tree: Path, name: str) -> dict:
-    """One timed pytest run of a suite in a tree, with src on the path."""
+    """One timed run of a suite in a tree, with src on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
-                           *SUITES[name]], cwd=tree, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                          text=True, check=False)
+    proc = subprocess.run([sys.executable, *SUITES[name]], cwd=tree,
+                          env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, check=False)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     print(f"{tree.name:6s} {name}: {wall:.1f} s, exit {proc.returncode}",
@@ -196,9 +201,10 @@ def main(argv=None) -> int:
             "traced": "one --trace 1 run per side at each traced seed for "
                       "the per-layer numbers, after the untraced pairs",
             "suites": "one timed run per side of the tier-1 suite, of "
-                      "acceptance criteria 7 and 8 and of the whole "
-                      "acceptance file after all pairs, the side that runs "
-                      "first alternating from suite to suite",
+                      "acceptance criteria 7 and 8, of the whole "
+                      "acceptance file and of orbiton all after all pairs, "
+                      "the side that runs first alternating from suite to "
+                      "suite",
             "script": "tools/bench_pairs.py",
         },
         "workloads": {},
