@@ -507,9 +507,9 @@ def _finalize_g431(g: LieAlgebra, B: np.ndarray, t0: np.ndarray,
 
 
 def _classify_dim3_heisenberg(g: LieAlgebra, B: np.ndarray, t0: np.ndarray,
+                              pair_brackets: list[np.ndarray],
                               scale: float) -> MD4Label:
-    pair_brackets = [bracket(g, B[:, i], B[:, j])
-                     for i in range(3) for j in range(i + 1, 3)]
+    """Nilradical a Heisenberg algebra; pair_brackets are [B_i, B_j], i < j."""
     span = Subspace.from_columns(np.column_stack(pair_brackets), 4)
     if span.dim != 1:
         return MD4Label("NotMD4",
@@ -594,11 +594,11 @@ def classify_md4(g: LieAlgebra, seed: int = 0) -> MD4Label:
     if W.dim == 3:
         B = W.basis_matrix
         t0 = W.orthogonal_complement().basis_matrix[:, 0]
-        nb = max(np.linalg.norm(bracket(g, B[:, i], B[:, j]))
-                 for i in range(3) for j in range(i + 1, 3))
-        if nb <= 1e-8 * scale:
+        pair_brackets = [bracket(g, B[:, i], B[:, j])
+                         for i in range(3) for j in range(i + 1, 3)]
+        if max(np.linalg.norm(b) for b in pair_brackets) <= 1e-8 * scale:
             return _classify_dim3_abelian(g, B, t0, scale)
-        return _classify_dim3_heisenberg(g, B, t0, scale)
+        return _classify_dim3_heisenberg(g, B, t0, pair_brackets, scale)
     return MD4Label("NotMD4", reason="derived subalgebra fills the algebra")
 
 

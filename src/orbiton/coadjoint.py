@@ -87,10 +87,6 @@ class KirillovForm:
         basis = vt[r:].T if r < n else np.zeros((n, 0))
         return Subspace(ambient_dim=n, basis_matrix=basis)
 
-    def evaluate(self, u: Sequence[float], v: Sequence[float]) -> float:
-        return float(np.asarray(u, dtype=float) @ self.matrix
-                     @ np.asarray(v, dtype=float))
-
 
 @dataclass(frozen=True)
 class GroupWord:

@@ -5,6 +5,11 @@ An algebra is stored as a dense rank-3 array ``c`` with
 action, classification, orbit models) consumes this representation.
 Vectors and functionals are plain float arrays of length ``dim``;
 coordinates are the only semantics, labels are cosmetic.
+
+A ``LieAlgebra`` is frozen and its ``c`` is read-only, so its derived
+series is walked once per algebra object, on first use, and cached on it.
+:func:`derived_series`, :func:`derived_series_length` and
+:func:`derived_subalgebra` read that walk; its stage bases are read-only.
 """
 
 from __future__ import annotations
@@ -105,6 +110,19 @@ class LieAlgebra:
         if len(self.basis_labels) != self.dim:
             raise DimensionMismatch("label count != dim")
         self.c.setflags(write=False)
+
+    @functools.cached_property
+    def _derived(self) -> tuple[tuple[Subspace, ...], int | None]:
+        """Stages and length of the derived series; see :func:`derived_series`."""
+        floor = noise_floor(self)
+        series = [Subspace.full(self.dim)]
+        while series[-1].dim:
+            series.append(_derived_step(self, series[-1], floor))
+            if series[-1].dim >= series[-2].dim:
+                break
+        for stage in series:
+            stage.basis_matrix.setflags(write=False)
+        return tuple(series), len(series) - 1 if not series[-1].dim else None
 
     def vector(self, coords) -> np.ndarray:
         v = np.asarray(coords, dtype=float)
@@ -332,18 +350,6 @@ class Subspace:
         """Distance of v from the subspace."""
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains_vector(self, v, rtol: float = 1e-10) -> bool:
-        v = np.asarray(v, dtype=float)
-        return self.residual(v) <= rtol * (1.0 + np.linalg.norm(v))
-
-    def contains_subspace(self, other: "Subspace", rtol: float = 1e-10) -> bool:
-        if other.dim == 0:
-            return True
-        res = other.basis_matrix - self.basis_matrix @ (
-            self.basis_matrix.T @ other.basis_matrix
-        )
-        return float(np.linalg.norm(res)) <= rtol * (1.0 + other.dim)
-
     def orthogonal_complement(self) -> "Subspace":
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
@@ -368,53 +374,39 @@ def _derived_step(g: LieAlgebra, stage: Subspace, floor: float) -> Subspace:
 def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:
     """k-th derived ideal g^(k); k=0 returns the whole algebra.
 
-    Each stage is the span of all pairwise brackets of a basis of the
-    previous one (``_derived_step``, shared with :func:`derived_series`).
+    Stage k of the derived series, which is walked once per algebra
+    object and cached on it, with read-only stage bases.  Each stage is
+    the span of all pairwise brackets of a basis of the previous one.
     Bracket columns of an abelian stage are pure roundoff, so the rank
     rule gets an absolute floor tied to the size of the structure
-    constants on top of the relative SVD rule.
+    constants on top of the relative SVD rule.  Past the end of the walk
+    the last stage is returned: zero, or the stage the series stabilizes
+    at.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    floor = noise_floor(g)
-    current = Subspace.full(g.dim)
-    for _ in range(k):
-        if current.dim == 0:
-            return current
-        current = _derived_step(g, current, floor)
-    return current
+    series = g._derived[0]
+    return series[min(k, len(series) - 1)]
 
 
-def derived_series(g: LieAlgebra, max_steps: int | None = None
-                   ) -> tuple[list[Subspace], int | None]:
+def derived_series(g: LieAlgebra) -> tuple[tuple[Subspace, ...], int | None]:
     """Stages g^(0), g^(1), ... of the derived series, and its length.
 
-    The series is walked once, one bracket pass per stage, with the step
-    of :func:`derived_subalgebra`, so stage k equals derived_subalgebra(g,
-    k) bit for bit.  The walk stops at the first zero stage, whose index
-    is the length, or at the first stage that does not shrink, or after
-    ``max_steps`` steps (default dim + 1); the length is None in the last
-    two cases.
+    The series is walked once per algebra object, on first use, and cached
+    on it; every call returns the same tuple of read-only stages, and
+    stage k is derived_subalgebra(g, k).  The walk stops at the first zero
+    stage, whose index is the length, or at the first stage that does not
+    shrink, with length None.
     """
-    limit = max_steps if max_steps is not None else g.dim + 1
-    floor = noise_floor(g)
-    series = [Subspace.full(g.dim)]
-    for k in range(limit + 1):
-        if series[-1].dim == 0:
-            return series, k
-        if k > 0 and series[-1].dim >= series[-2].dim:
-            return series, None
-        if k < limit:
-            series.append(_derived_step(g, series[-1], floor))
-    return series, None
+    return g._derived
 
 
-def derived_series_length(g: LieAlgebra, max_steps: int | None = None) -> int | None:
+def derived_series_length(g: LieAlgebra) -> int | None:
     """Steps until the derived series reaches 0, or None if it stabilizes nonzero.
 
-    Read off :func:`derived_series`, which walks the series once.
+    Read off the cached walk of :func:`derived_series`.
     """
-    return derived_series(g, max_steps)[1]
+    return g._derived[1]
 
 
 def load_algebra_json(source) -> LieAlgebra:

@@ -32,6 +32,7 @@ from .lie_core import (
     LieAlgebraError,
     Subspace,
     bracket,
+    derived_subalgebra,
     numeric_rank,
 )
 
@@ -715,7 +716,6 @@ def _membership_in_orbit(g: LieAlgebra, F: np.ndarray
     if g.dim == 2:
         # aff(R) pattern: [T, W] = W for the derived line W; orbit of a
         # functional not killing W is the half-plane with w-sign preserved.
-        from .lie_core import derived_subalgebra
         W = derived_subalgebra(g)
         if W.dim != 1:
             return None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from orbiton import classify, families, lie_core as lc
+from orbiton import classify, cli, families, lie_core as lc
 
 from conftest import family_fixtures, random_gl
 
@@ -187,13 +187,53 @@ class TestDerivedSeries:
             length = lc.derived_series_length(g)
             assert len(calls) == length
 
+    @staticmethod
+    def _fresh(g):
+        """The same algebra as a new object, with nothing cached on it."""
+        return lc.LieAlgebra(g.dim, g.c, g.basis_labels)
+
     def test_classify_md4_walks_the_series_once(self, monkeypatch):
         calls = self._count_steps(monkeypatch)
-        for _, _, g in family_fixtures():
-            length = lc.derived_series_length(g)
+        decisions = (classify.classify_md4, classify.is_exponential,
+                     classify.classify_md_bar)
+        for name, _, g in family_fixtures():
+            length = lc.derived_series_length(self._fresh(g))
+            for decide in decisions:
+                calls.clear()
+                decide(self._fresh(g))
+                assert len(calls) == length, (name, decide.__name__)
+
+    def test_later_decisions_walk_nothing(self, monkeypatch):
+        calls = self._count_steps(monkeypatch)
+        for name, _, g in family_fixtures():
+            g = self._fresh(g)
+            classify.classify_md4(g)
             calls.clear()
             classify.classify_md4(g)
-            assert len(calls) == length
+            classify.is_exponential(g)
+            classify.classify_md_bar(g)
+            for k in range(4):
+                lc.derived_subalgebra(g, k)
+            lc.derived_series_length(g)
+            assert calls == [], name
+
+    def test_classify_report_walks_once(self, monkeypatch, capsys):
+        calls = self._count_steps(monkeypatch)
+        want = {"aff-c": [4, 2], "g442": [4, 3, 1], "abelian4": [4]}
+        for name in families.builtin_names():
+            length = lc.derived_series_length(families.builtin(name))
+            calls.clear()
+            cli.main(["classify", "--builtin", name])
+            capsys.readouterr()
+            assert len(calls) == length, name
+            if name in want:
+                assert calls == want[name]
+
+    def test_cached_stages_are_read_only(self):
+        for name, _, g in family_fixtures():
+            for stage in lc.derived_series(g)[0]:
+                with pytest.raises(ValueError):
+                    stage.basis_matrix[...] = 0.0
 
     def test_stages_equal_derived_subalgebra(self):
         rng = np.random.default_rng(77)
