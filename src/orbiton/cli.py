@@ -206,12 +206,12 @@ def _text_classify(report: dict) -> str:
 # atlas
 # ---------------------------------------------------------------------------
 
-def _cloud_with_residuals(g, family, params, F, model, n_points, seed,
-                          labels=("x", "y", "z", "t")):
+def _cloud_with_residuals(g, F, model, n_points, seed):
     count = 1 if model.kind == "Point" else max(n_points, 1)
     sample = _coadjoint.sample_orbit(g, F, count, seed=seed)
     residuals = [_atlas.orbit_membership(model, p) for p in sample.points]
-    return sample.to_csv(labels=labels), float(max(residuals))
+    return (sample.to_csv(labels=("x", "y", "z", "t")),
+            float(max(residuals)))
 
 
 def run_atlas(cfg: RunConfig):
@@ -241,7 +241,7 @@ def run_atlas(cfg: RunConfig):
         stratum = _atlas.stratum_of(family, F, params)
         model = _atlas.orbit_model(family, F, params)
         csv_text, res = _cloud_with_residuals(
-            g, family, params, np.array(F), model, args.samples, cfg.seed)
+            g, np.array(F), model, args.samples, cfg.seed)
         worst = res
         report["strata"].append({
             "name": stratum,
@@ -259,8 +259,7 @@ def run_atlas(cfg: RunConfig):
                 F = _atlas.random_base(family, stratum, rng, params)
                 model = _atlas.orbit_model(family, F, params)
                 csv_text, res = _cloud_with_residuals(
-                    g, family, params, F, model, args.samples,
-                    int(rng.integers(2 ** 31)))
+                    g, F, model, args.samples, int(rng.integers(2 ** 31)))
                 worst = max(worst, res)
                 entry["bases"].append({
                     "model": model.to_json(),
@@ -666,8 +665,7 @@ def run_all(cfg: RunConfig):
                 F = _atlas.random_base(name, stratum, rng, params)
                 model = _atlas.orbit_model(name, F, params)
                 _, res = _cloud_with_residuals(
-                    g, name, params, F, model, 50,
-                    int(rng.integers(2 ** 31)))
+                    g, F, model, 50, int(rng.integers(2 ** 31)))
                 atlas_worst = max(atlas_worst, res)
     atlas_ok = atlas_worst < cfg.tolerances["membership"]
     suites["atlas"] = {"max_residual": atlas_worst,

@@ -238,10 +238,7 @@ FAMILIES: dict[str, FamilyInfo] = {
     ]
 }
 
-FAMILY_ORDER: tuple[str, ...] = (
-    "g411", "g412", "g421", "g422", "g423", "g424",
-    "g431", "g432", "g433", "g434", "g441", "g442",
-)
+FAMILY_ORDER: tuple[str, ...] = tuple(FAMILIES)
 
 # Builtin names accepted by the command line in addition to the family names.
 BUILTIN_ALIASES: dict[str, Callable[[], LieAlgebra]] = {

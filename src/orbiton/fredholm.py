@@ -35,17 +35,18 @@ with the weights plus the four correction columns.
 
 Since S_1 and S_2 store the same block, they share one sector solve:
 sigma_max and the smallest singular triples of the block are kept in a
-one-slot memo, keyed by the SHA-256 of the block's rows and of the
-weights it is conjugated with, the threshold policy and the iteration
-constants read at call time.  Asking for S_2 right after S_1 on one grid
-reuses the solve, and every other step (the gap logic, the parity lift,
-the stability residuals) runs for each operator.  The index data are the
-same bit for bit as those of a fresh solve.
+one-slot memo.  The block is a function of the grid, so the memo is keyed
+by the grid (L, N and the bytes of its s and weights, which are
+read-only), the deflated size, the threshold policy and the iteration
+constants read at call time.  Asking for S_2 right after S_1 on an equal
+grid reuses the solve; S_2 still builds its own block, and every other
+step (the deflation check, the gap logic, the parity lift, the stability
+residuals) runs for each operator.  The index data are the same bit for
+bit as those of a fresh solve.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -100,8 +101,6 @@ _PROBE = 8
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
 _SIGMA_CAP = 40
-# Entries per row block of the constructor's triangularity check.
-_CHECK_ENTRIES = 1 << 16
 
 
 class FredholmError(Exception):
@@ -143,7 +142,8 @@ class LogGrid:
     nodes holds the positive half first (x = e^s, s ascending), then the
     negative half (x = -e^s, same s order).  weights are trapezoid weights
     in s, the flat coordinate of the measure dx/|x|; they are positive,
-    x -> -x symmetric, and sum to 4L.
+    x -> -x symmetric, and sum to 4L.  The arrays are made read-only, so
+    a block built from the grid stays the grid's block.
     """
 
     L: float
@@ -151,6 +151,10 @@ class LogGrid:
     s: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.s, self.nodes, self.weights):
+            a.setflags(write=False)
 
     @property
     def h(self) -> float:
@@ -270,42 +274,32 @@ class DiscreteOperator:
 
     On the 2N grid layout the operator maps [r, s r] to [m r, s m r] with
     m = matrix and s = +1 for which=1, -1 for which=2, and is the identity
-    on the other parity sector.  The block must be lower-triangular
-    (BadParams otherwise, naming the largest entry above the diagonal);
-    it is made read-only.
+    on the other parity sector.  The block is built from the grid: B is
+    the half-line Volterra block, lower-triangular by construction, and
+    the entries are formed as -2 b off the diagonal and (1 - b) - b on it,
+    the sums A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]]
+    bit for bit.  The block is read-only.
     """
 
     grid: LogGrid
-    matrix: np.ndarray
     which: int
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.which not in (1, 2):
             raise BadParams(f"which must be 1 or 2, got {self.which!r}")
-        n = self.grid.N
-        if self.matrix.shape != (n, n):
-            raise BadParams(
-                f"matrix shape {self.matrix.shape} does not match the grid "
-                f"(N = {n})")
-        # Row blocks of about _CHECK_ENTRIES entries, so the check makes
-        # no N x N temporary: right of its square a block lies wholly above
-        # the diagonal, inside it only above the square's diagonal.  max
-        # and -min instead of abs need no copy of the rectangle, and both
-        # propagate NaN like a whole-matrix max.
-        rows = max(1, _CHECK_ENTRIES // n)
-        extremes = []
-        for i in range(0, n, rows):
-            j = min(i + rows, n)
-            for part in (self.matrix[i:j, j:],
-                         np.triu(self.matrix[i:j, i:j], 1)):
-                extremes += [np.max(part, initial=0.0),
-                             -np.min(part, initial=0.0)]
-        upper = np.max(extremes, initial=0.0)
-        if upper != 0.0:
-            raise BadParams(
-                f"parity block is not lower-triangular: largest deviation "
-                f"{float(upper):.3g}")
-        self.matrix.setflags(write=False)
+        grid = self.grid
+        if grid.h > MAX_LOG_STEP:
+            need = int(math.ceil(2.0 * grid.L / MAX_LOG_STEP)) + 1
+            raise GridTooCoarse(
+                f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
+                f"use N >= {need} at L={grid.L:g}")
+        m = _volterra(grid)
+        b = np.diagonal(m).copy()
+        m *= -2.0
+        m[np.diag_indices_from(m)] = (1.0 - b) - b
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     def compact_tail_report(self, count: int = 60) -> dict:
         """Leading singular values of the compact part K = I - S_i.
@@ -329,26 +323,12 @@ class DiscreteOperator:
 
 
 def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
-    """Parity block of f -> f - 2 exp(-x^2/2) * quadrature of I_i[f].
+    """S_which on the grid: f -> f - 2 exp(-x^2/2) * quadrature of I_i[f].
 
     The u-nodes are grid-aligned multiples of h, so f(x e^-u) is read off
     the grid directly and the quadrature has no interpolation component.
-    The block is I - 2 B with B the half-line Volterra block; its entries
-    are formed as -2 b off the diagonal and (1 - b) - b on it, the sums
-    A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]] bit for bit.
     """
-    if which not in (1, 2):
-        raise BadParams(f"which must be 1 or 2, got {which!r}")
-    if grid.h > MAX_LOG_STEP:
-        need = int(math.ceil(2.0 * grid.L / MAX_LOG_STEP)) + 1
-        raise GridTooCoarse(
-            f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
-            f"use N >= {need} at L={grid.L:g}")
-    m = _volterra(grid)
-    b = np.diagonal(m).copy()
-    m *= -2.0
-    m[np.diag_indices_from(m)] = (1.0 - b) - b
-    return DiscreteOperator(grid=grid, matrix=m, which=which)
+    return DiscreteOperator(grid=grid, which=which)
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,34 +510,31 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
 _last_solve = None
 
 
-def _solve_key(op: DiscreteOperator, k: int, root: np.ndarray,
+def _solve_key(grid: LogGrid, k: int,
                threshold_policy: Union[str, float]) -> tuple:
     """Everything the sector solve reads.
 
-    The SHA-256 of the rows of the leading k x k block (with its dtype)
-    and of W^(1/2) on those rows, k, the threshold policy, and _PROBE,
-    _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as they stand at call time.
+    The block is built from the grid, so the grid stands for it: L, N and
+    the bytes of s and of the weights, all read-only.  Then k, the
+    threshold policy, and _PROBE, _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as
+    they stand at call time.
     """
-    digest = hashlib.sha256(op.matrix.dtype.str.encode())
-    for row in op.matrix[:k]:
-        digest.update(np.ascontiguousarray(row[:k]))
-    digest.update(np.ascontiguousarray(root[:k]))
-    return (digest.digest(), k, threshold_policy, _PROBE, _ITER_RTOL,
-            _ITER_CAP, _SIGMA_CAP)
+    return (grid.L, grid.N, grid.s.tobytes(), grid.weights.tobytes(), k,
+            threshold_policy, _PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP)
 
 
-def _sector_solve(op: DiscreteOperator, k: int, root: np.ndarray,
+def _sector_solve(op: DiscreteOperator, k: int,
                   threshold_policy: Union[str, float]) -> tuple:
     """sigma_max and the smallest singular triples of the leading block.
 
     Returns (sigma_max, values, right vectors, left vectors, steps), the
-    arrays read-only.  S_1 and S_2 on one grid store the same block, so
+    arrays read-only.  S_1 and S_2 on equal grids have the same block, so
     the last solve is kept in a one-slot memo under _solve_key and the
     second operator reuses it; a solve that raises leaves the slot as it
     was.
     """
     global _last_solve
-    key = _solve_key(op, k, root, threshold_policy)
+    key = _solve_key(op.grid, k, threshold_policy)
     # One read of the slot: another thread may replace it meanwhile.
     last = _last_solve
     if last is not None and last[0] == key:
@@ -654,15 +631,15 @@ def numerical_index(op: DiscreteOperator,
     otherwise); a float is used as an absolute cut instead.
 
     sigma_max and the sector's singular triples are computed once per
-    block: the last solve is kept in a one-slot memo keyed by the SHA-256
-    of the rows of the leading block and of W^(1/2) on them, the deflated
-    size, threshold_policy and the iteration constants (_PROBE,
-    _ITER_RTOL, _ITER_CAP, _SIGMA_CAP) as they stand at the call.  So S_2
-    right after S_1 on one grid reuses S_1's solve and gives the same
-    data as a fresh solve; a changed constant or a one-ulp change of an
-    entry is a miss, and a solve that raises is not kept.  The deflation
-    check, the gap logic, the parity lift and the stability residuals run
-    on every call.
+    grid: the last solve is kept in a one-slot memo keyed by the grid (L,
+    N and the bytes of its read-only s and weights), the deflated size,
+    threshold_policy and the iteration constants (_PROBE, _ITER_RTOL,
+    _ITER_CAP, _SIGMA_CAP) as they stand at the call.  So S_2 right after
+    S_1 on an equal grid reuses S_1's solve and gives the same data as a
+    fresh solve, though it still builds its own block; a changed constant
+    or a one-ulp change of a weight is a miss, and a solve that raises is
+    not kept.  The deflation check, the gap logic, the parity lift and the
+    stability residuals run on every call.
     """
     fixed_cut = isinstance(threshold_policy, (int, float))
     if not fixed_cut and threshold_policy != "relative-gap":
@@ -672,7 +649,7 @@ def numerical_index(op: DiscreteOperator,
     n = 2 * half
     root = np.sqrt(op.grid.weights[:half])
     sigma_max, sig, rights, lefts, iterations = _sector_solve(
-        op, k, root, threshold_policy)
+        op, k, threshold_policy)
     cap = NEAR_ZERO_FACTOR * sigma_max
     take = min(_PROBE, n)
     # A pool only holds values under 1: a cut above 1 takes in every unit
