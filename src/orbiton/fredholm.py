@@ -16,7 +16,7 @@ The reflection x -> -x swaps the two half-lines, so each operator splits
 into its parity sectors: on one (even for S_1, odd for S_2) it acts as
 the N x N block I - 2 B, with B the lower-triangular Volterra-type
 quadrature of one half-line, and on the other as the identity.  The
-operator is stored as that one block, the same for both; which only
+operator's matrix is that one block, the same for both; which only
 fixes the parity [r, s r] of the sector it acts on.  The index is computed
 from the block: exp(-x^2/2) underflows to exactly 0 far out, so the
 block's trailing rows are exact unit rows and it is exactly diag(M, I);
@@ -28,28 +28,29 @@ vectors are zero-padded and lifted back to the 2N layout by parity.
 B has the finite-section structure of a Wiener-Hopf operator (Boettcher &
 Silbermann, Analysis of Toeplitz Operators): a lower-triangular Toeplitz
 matrix of the interior quadrature weights plus corrections in its first
-four columns.  The stored block is built that way, one N x N copy that
+four columns.  The block is built that way, one N x N copy that
 becomes the block in place; on the enlarged window of the stability test
 B is never formed, only applied from those generators, a convolution
 with the weights plus the four correction columns.
 
-Since S_1 and S_2 store the same block, they share one sector solve:
-sigma_max and the smallest singular triples of the block are kept in a
-one-slot memo.  The block is a function of the grid, so the memo is keyed
-by the grid (L, N and the bytes of its s and weights, which are
-read-only), the deflated size, the threshold policy and the iteration
-constants read at call time.  Asking for S_2 right after S_1 on an equal
-grid reuses the solve; S_2 still builds its own block, and every other
-step (the deflation check, the gap logic, the parity lift, the stability
-residuals) runs for each operator.  The index data are the same bit for
+The block is built on the first read of DiscreteOperator.matrix.  Since
+S_1 and S_2 have the same block, they share one sector solve: the
+deflated size, sigma_max and the smallest singular triples of the block
+are kept in a one-slot memo.  The block is a function of the grid, so the
+memo is keyed by the grid (L, N and the bytes of its s and weights, which
+are read-only) and the iteration constants read at call time.  Asking
+for S_2 right after S_1 on an equal grid reuses the solve and never
+builds S_2's block; the gap logic, the parity lift and the stability
+residuals run for each operator.  The index data are the same bit for
 bit as those of a fresh solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -270,20 +271,15 @@ def _volterra(grid: LogGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """S_i on a LogGrid, stored as its N x N parity block I - 2 B.
+    """S_i on a LogGrid: its grid and its parity.
 
     On the 2N grid layout the operator maps [r, s r] to [m r, s m r] with
     m = matrix and s = +1 for which=1, -1 for which=2, and is the identity
-    on the other parity sector.  The block is built from the grid: B is
-    the half-line Volterra block, lower-triangular by construction, and
-    the entries are formed as -2 b off the diagonal and (1 - b) - b on it,
-    the sums A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]]
-    bit for bit.  The block is read-only.
+    on the other parity sector.
     """
 
     grid: LogGrid
     which: int
-    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.which not in (1, 2):
@@ -294,32 +290,22 @@ class DiscreteOperator:
             raise GridTooCoarse(
                 f"log step h={grid.h:.4f} exceeds {MAX_LOG_STEP}; "
                 f"use N >= {need} at L={grid.L:g}")
-        m = _volterra(grid)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The N x N parity block I - 2 B, built from the grid on first read.
+
+        B is the half-line Volterra block, lower-triangular by
+        construction, and the entries are formed as -2 b off the diagonal
+        and (1 - b) - b on it, the sums A11 + s A12 of the 2N x 2N matrix
+        I - [[B, s B], [s B, B]] bit for bit.  The block is read-only.
+        """
+        m = _volterra(self.grid)
         b = np.diagonal(m).copy()
         m *= -2.0
         m[np.diag_indices_from(m)] = (1.0 - b) - b
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def compact_tail_report(self, count: int = 60) -> dict:
-        """Leading singular values of the compact part K = I - S_i.
-
-        Returns the first `count` singular values and k0, the number of
-        them at or above 1e-8.  K vanishes on the identity parity sector,
-        so its singular values are those of I minus the block plus N
-        zeros; cost is one N x N singular value pass, meant for
-        diagnostics at moderate N.
-        """
-        k = -self.matrix
-        k[np.diag_indices_from(k)] += 1.0
-        sv = np.concatenate([np.linalg.svd(k, compute_uv=False),
-                             np.zeros(self.grid.N)])
-        k0 = int(np.count_nonzero(sv >= 1e-8))
-        return {
-            "sigma": [float(v) for v in sv[:count]],
-            "k0": k0,
-            "ratio_50_to_1": float(sv[49] / sv[0]) if len(sv) >= 50 else None,
-        }
+        return m
 
 
 def assemble_operator(which: int, grid: LogGrid) -> DiscreteOperator:
@@ -510,44 +496,42 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
 _last_solve = None
 
 
-def _solve_key(grid: LogGrid, k: int,
-               threshold_policy: Union[str, float]) -> tuple:
+def _solve_key(grid: LogGrid) -> tuple:
     """Everything the sector solve reads.
 
-    The block is built from the grid, so the grid stands for it: L, N and
-    the bytes of s and of the weights, all read-only.  Then k, the
-    threshold policy, and _PROBE, _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as
-    they stand at call time.
+    The key assumes the block is a function of the grid, so the grid
+    stands for it: L, N and the bytes of s and of the weights, all
+    read-only.  Then _PROBE, _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as they
+    stand at call time.  A block built any other way (a test that patches
+    _volterra) must start from an empty memo.
     """
-    return (grid.L, grid.N, grid.s.tobytes(), grid.weights.tobytes(), k,
-            threshold_policy, _PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP)
+    return (grid.L, grid.N, grid.s.tobytes(), grid.weights.tobytes(),
+            _PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP)
 
 
-def _sector_solve(op: DiscreteOperator, k: int,
-                  threshold_policy: Union[str, float]) -> tuple:
-    """sigma_max and the smallest singular triples of the leading block.
+def _sector_solve(op: DiscreteOperator) -> tuple:
+    """Deflated size, sigma_max and smallest singular triples of the block.
 
-    Returns (sigma_max, values, right vectors, left vectors, steps), the
-    arrays read-only.  S_1 and S_2 on equal grids have the same block, so
-    the last solve is kept in a one-slot memo under _solve_key and the
-    second operator reuses it; a solve that raises leaves the slot as it
-    was.
+    Returns (k, sigma_max, values, right vectors, left vectors, steps),
+    the arrays read-only.  S_1 and S_2 on equal grids have the same block,
+    so the last solve is kept in a one-slot memo under _solve_key and the
+    second operator reuses it without reading its own block; a solve that
+    raises leaves the slot as it was.
     """
     global _last_solve
-    key = _solve_key(op.grid, k, threshold_policy)
+    key = _solve_key(op.grid)
     # One read of the slot: another thread may replace it meanwhile.
     last = _last_solve
     if last is not None and last[0] == key:
         return last[1]
+    k = _deflated_size(op.matrix)
     sector, _ = _weighted_sector(op, k)
     sigma_max = max(_sigma_max(sector), 1.0)
-    gate = (NEAR_ZERO_FACTOR * sigma_max if isinstance(threshold_policy, str)
-            else float(threshold_policy))
     sig, rights, lefts, iterations = _sector_triples(
-        sector, min(_PROBE, k), gate)
+        sector, min(_PROBE, k), NEAR_ZERO_FACTOR * sigma_max)
     for a in (sig, rights, lefts):
         a.setflags(write=False)
-    solve = (sigma_max, sig, rights, lefts, iterations)
+    solve = (k, sigma_max, sig, rights, lefts, iterations)
     _last_solve = (key, solve)
     return solve
 
@@ -604,9 +588,7 @@ def _stability_residual(window: _Window, v: np.ndarray,
                  np.linalg.norm(root * padded))
 
 
-def numerical_index(op: DiscreteOperator,
-                    threshold_policy: Union[str, float] = "relative-gap",
-                    ) -> IndexResult:
+def numerical_index(op: DiscreteOperator) -> IndexResult:
     """Fredholm data of a discretized operator.
 
     Singular values are taken in the weighted geometry.  The operator is
@@ -619,90 +601,64 @@ def numerical_index(op: DiscreteOperator,
     triples come from inverse subspace iteration with triangular solves
     (NotConverged if the values that feed the gap gate do not settle) and
     are merged with the unit singular values of the deflated rows and of
-    the identity sector.  Candidate kernel directions are the singular
-    vectors under the threshold, zero on the deflated rows and lifted to
-    the 2N layout as [r, s r] / sqrt(2); each must stay a near-null vector
-    after zero-padding onto a window enlarged by 2 in L (same step) to
-    count, which is what separates dim_ker from dim_coker on a square
+    the identity sector.  The cut sits at the largest ratio jump among
+    singular values below 1e-3 * sigma_max, and that jump must exceed 100
+    (GapTooSmall otherwise).  Candidate kernel directions are the
+    singular vectors under the cut, zero on the deflated rows and lifted
+    to the 2N layout as [r, s r] / sqrt(2); each must stay a near-null
+    vector after zero-padding onto a window enlarged by 2 in L (same step)
+    to count, which is what separates dim_ker from dim_coker on a square
     truncation.  The window's block is applied from its Toeplitz
-    generators, never formed.  threshold_policy "relative-gap" places
-    the cut at the largest ratio jump among singular values below
-    1e-3 * sigma_max and demands that jump exceed 100 (GapTooSmall
-    otherwise); a float is used as an absolute cut instead.
+    generators, never formed.
 
-    sigma_max and the sector's singular triples are computed once per
-    grid: the last solve is kept in a one-slot memo keyed by the grid (L,
-    N and the bytes of its read-only s and weights), the deflated size,
-    threshold_policy and the iteration constants (_PROBE, _ITER_RTOL,
-    _ITER_CAP, _SIGMA_CAP) as they stand at the call.  So S_2 right after
-    S_1 on an equal grid reuses S_1's solve and gives the same data as a
-    fresh solve, though it still builds its own block; a changed constant
-    or a one-ulp change of a weight is a miss, and a solve that raises is
-    not kept.  The deflation check, the gap logic, the parity lift and the
-    stability residuals run on every call.
+    The deflated size, sigma_max and the sector's singular triples are
+    computed once per grid: the last solve is kept in a one-slot memo
+    keyed by the grid (L, N and the bytes of its read-only s and weights)
+    and the iteration constants (_PROBE, _ITER_RTOL, _ITER_CAP,
+    _SIGMA_CAP) as they stand at the call.  So S_2 right after S_1 on an
+    equal grid reuses S_1's solve, never builds its own block and gives
+    the same data as a fresh solve; a changed constant or a one-ulp
+    change of a weight is a miss, and a solve that raises is not kept.
+    The gap logic, the parity lift and the stability residuals run on
+    every call.
     """
-    fixed_cut = isinstance(threshold_policy, (int, float))
-    if not fixed_cut and threshold_policy != "relative-gap":
-        raise BadParams(f"unknown threshold policy {threshold_policy!r}")
-    k = _deflated_size(op.matrix)
     half = op.grid.N
     n = 2 * half
     root = np.sqrt(op.grid.weights[:half])
-    sigma_max, sig, rights, lefts, iterations = _sector_solve(
-        op, k, threshold_policy)
+    k, sigma_max, sig, rights, lefts, iterations = _sector_solve(op)
     cap = NEAR_ZERO_FACTOR * sigma_max
     take = min(_PROBE, n)
     # A pool only holds values under 1: a cut above 1 takes in every unit
     # value, fills all `take` slots and raises GapTooSmall below.  So the
     # pool is a prefix of the sector's values and of its vectors.
     sig_low = np.sort(np.concatenate([sig, np.ones(take)]))[:take]
-
-    if fixed_cut:
-        threshold = float(threshold_policy)
-        pool = int(np.count_nonzero(sig_low < threshold))
-        if pool >= len(sig_low) and pool < n:
-            raise GapTooSmall(
-                "too many singular values under the fixed threshold to "
-                "bracket; refine the grid")
-        gap_ratio = math.inf
-        if 0 < pool < len(sig_low):
-            low = float(sig_low[pool - 1])
-            gap_ratio = math.inf if low == 0.0 else float(
-                sig_low[pool] / low)
-    else:
-        pool = int(np.count_nonzero(sig_low < cap))
-        if pool == 0:
-            return IndexResult(
-                dim_ker=0, dim_coker=0, index=0, sing_vals_near_zero=(),
-                threshold=cap, gap_ratio=math.inf, sigma_max=sigma_max,
-                iterations=iterations)
-        if pool >= len(sig_low):
-            raise GapTooSmall(
-                "no spectral gap visible under 1e-3 * sigma_max; "
-                "refine the grid (double N)")
-        ratios = []
-        for i in range(pool):
-            low = float(sig_low[i])
-            ratios.append(math.inf if low == 0.0
-                          else float(sig_low[i + 1] / low))
-        cut = int(np.argmax(ratios))
-        gap_ratio = ratios[cut]
-        if gap_ratio <= GAP_MIN:
-            raise GapTooSmall(
-                f"singular value gap ratio {gap_ratio:.3g} is under "
-                f"{GAP_MIN:g}; refine the grid (double N)")
-        if sig_low[cut] == 0.0:
-            threshold = float(sig_low[cut + 1]) / GAP_MIN
-        else:
-            threshold = float(math.sqrt(sig_low[cut] * sig_low[cut + 1]))
-        pool = cut + 1
-
-    near = tuple(float(v) for v in sig_low[:pool])
+    pool = int(np.count_nonzero(sig_low < cap))
     if pool == 0:
         return IndexResult(
             dim_ker=0, dim_coker=0, index=0, sing_vals_near_zero=(),
-            threshold=threshold, gap_ratio=gap_ratio, sigma_max=sigma_max,
+            threshold=cap, gap_ratio=math.inf, sigma_max=sigma_max,
             iterations=iterations)
+    if pool >= len(sig_low):
+        raise GapTooSmall(
+            "no spectral gap visible under 1e-3 * sigma_max; "
+            "refine the grid (double N)")
+    ratios = []
+    for i in range(pool):
+        low = float(sig_low[i])
+        ratios.append(math.inf if low == 0.0
+                      else float(sig_low[i + 1] / low))
+    cut = int(np.argmax(ratios))
+    gap_ratio = ratios[cut]
+    if gap_ratio <= GAP_MIN:
+        raise GapTooSmall(
+            f"singular value gap ratio {gap_ratio:.3g} is under "
+            f"{GAP_MIN:g}; refine the grid (double N)")
+    if sig_low[cut] == 0.0:
+        threshold = float(sig_low[cut + 1]) / GAP_MIN
+    else:
+        threshold = float(math.sqrt(sig_low[cut] * sig_low[cut + 1]))
+    pool = cut + 1
+    near = tuple(float(v) for v in sig_low[:pool])
 
     sign = 1.0 if op.which == 1 else -1.0
     window = _Window(op.grid)

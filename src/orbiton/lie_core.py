@@ -290,7 +290,7 @@ def noise_floor(g: LieAlgebra) -> float:
     return 1e-10 * (1.0 + float(np.abs(g.c).max()))
 
 
-def numeric_rank(m: np.ndarray, scale_dim: int | None = None) -> int:
+def numeric_rank(m: np.ndarray) -> int:
     """Rank by singular values with tolerance dim * sigma_max * 1e-10."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
@@ -298,8 +298,7 @@ def numeric_rank(m: np.ndarray, scale_dim: int | None = None) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    n = scale_dim if scale_dim is not None else max(m.shape)
-    tol = n * s[0] * RANK_RTOL
+    tol = max(m.shape) * s[0] * RANK_RTOL
     return int((s > tol).sum())
 
 

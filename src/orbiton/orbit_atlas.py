@@ -61,6 +61,10 @@ STRATUM_ZERO_RTOL = 1e-9
 # Membership solver controls for the parameterized-curve models.
 _GRID_HALF_WIDTH = 30.0
 _GRID_POINTS = 961
+# Central-difference step of the orbit tangents in check_tangency.
+_TANGENT_STEP = 1e-5
+# Points of F + h-perp tested for orbit membership in check_polarization.
+_PUKANSZKY_SAMPLES = 100
 
 
 class UnknownFamily(LieAlgebraError):
@@ -629,8 +633,7 @@ def distribution_rank_at(spec: DistributionSpec, p) -> int:
 
 
 def check_tangency(spec: DistributionSpec, sample: OrbitSample,
-                   g: Optional[LieAlgebra] = None,
-                   step: float = 1e-5) -> float:
+                   g: Optional[LieAlgebra] = None) -> float:
     """Max residual of finite-difference orbit tangents against the fields.
 
     Tangents come from short coadjoint flows (central differences); each is
@@ -639,10 +642,11 @@ def check_tangency(spec: DistributionSpec, sample: OrbitSample,
     """
     if g is None:
         g = families.build_family(spec.family, *spec.params)
-    # exps[0, k] = exp(step·ad_{X_k}), exps[1, k] = exp(-step·ad_{X_k}):
-    # the same matrices for every point.
-    exps = _step_exponentials(g, np.tile(np.arange(g.dim), (2, 1)),
-                              np.repeat([[step], [-step]], g.dim, axis=1))
+    # exps[0, k] = exp(step·ad_{X_k}), exps[1, k] = exp(-step·ad_{X_k}),
+    # step = _TANGENT_STEP: the same matrices for every point.
+    exps = _step_exponentials(
+        g, np.tile(np.arange(g.dim), (2, 1)),
+        np.repeat([[_TANGENT_STEP], [-_TANGENT_STEP]], g.dim, axis=1))
     worst = 0.0
     for p in np.atleast_2d(sample.points):
         if stratum_of(spec.family, p, spec.params) == _POINT_STRATUM:
@@ -651,7 +655,7 @@ def check_tangency(spec: DistributionSpec, sample: OrbitSample,
         span = Subspace.from_columns(
             np.column_stack([f(p) for f in spec.fields_]), 4)
         for k in range(g.dim):
-            v = (p @ exps[0, k] - p @ exps[1, k]) / (2.0 * step)
+            v = (p @ exps[0, k] - p @ exps[1, k]) / (2.0 * _TANGENT_STEP)
             resid = span.residual(v) / (1.0 + float(np.linalg.norm(v)))
             worst = max(worst, resid)
     return worst
@@ -737,8 +741,7 @@ def _membership_in_orbit(g: LieAlgebra, F: np.ndarray
     return None
 
 
-def check_polarization(g: LieAlgebra, F, h: Subspace,
-                       n_samples: int = 100, seed: int = 0
+def check_polarization(g: LieAlgebra, F, h: Subspace, seed: int = 0
                        ) -> PolarizationReport:
     """Real-polarization tests for the subspace h at the functional F."""
     F = np.asarray(F, dtype=float)
@@ -781,13 +784,14 @@ def check_polarization(g: LieAlgebra, F, h: Subspace,
     perp = h.orthogonal_complement().basis_matrix
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(_PUKANSZKY_SAMPLES):
         coeffs = rng.standard_normal(perp.shape[1]) * (1.0 + fnorm)
         p = F + perp @ coeffs
         worst = max(worst, member(p))
     residuals["pukanszky_max"] = worst
     return PolarizationReport(is_subalgebra, contains_stabilizer, isotropic,
-                              codim_ok, worst < 1e-8, n_samples, residuals)
+                              codim_ok, worst < 1e-8, _PUKANSZKY_SAMPLES,
+                              residuals)
 
 
 # ---------------------------------------------------------------------------

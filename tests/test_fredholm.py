@@ -1,5 +1,6 @@
 """Log-grid discretization of the half-line operators and their indices."""
 
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -115,19 +116,10 @@ class TestAssembly:
             fr.assemble_operator(3, grid8)
 
     def test_compact_tail_decays(self, grid6):
-        rep = fr.assemble_operator(1, grid6).compact_tail_report()
-        assert rep["ratio_50_to_1"] < 0.05
-
-    @pytest.mark.parametrize("which", (1, 2))
-    def test_compact_tail_matches_full_svd(self, which):
-        grid = fr.build_grid(8.0, 64)
-        rep = fr.assemble_operator(which, grid).compact_tail_report(count=128)
-        k = -_dense_reference(which, grid)
-        k[np.diag_indices_from(k)] += 1.0
-        full = np.linalg.svd(k, compute_uv=False)
-        assert len(rep["sigma"]) == 128
-        assert np.allclose(rep["sigma"], full, rtol=0.0, atol=1e-13)
-        assert rep["k0"] == int(np.count_nonzero(full >= 1e-8))
+        # identity plus compact: the singular values of I - S_1 decay
+        k = np.eye(grid6.N) - fr.assemble_operator(1, grid6).matrix
+        sv = np.linalg.svd(k, compute_uv=False)
+        assert sv[49] / sv[0] < 0.05
 
 
 def _u_weights(k, h):
@@ -243,12 +235,6 @@ class TestIndex:
         r = fr.numerical_index(fr.assemble_operator(1, fr.build_grid(8.0, 64)))
         assert (r.dim_ker, r.dim_coker) == (1, 0)
         assert r.gap_ratio > 1e2
-
-    def test_fixed_threshold_policy(self, grid6):
-        op = fr.assemble_operator(1, grid6)
-        r = fr.numerical_index(op, threshold_policy=1e-6)
-        assert r.threshold == 1e-6
-        assert (r.dim_ker, r.dim_coker) == (1, 0)
 
     def test_result_json(self, grid6):
         r = fr.numerical_index(fr.assemble_operator(2, grid6))
@@ -459,14 +445,17 @@ class TestBlock:
             op.matrix[5, 2] = 0.0
         with pytest.raises(ValueError):
             op.matrix *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.matrix = np.eye(64)
 
 
 def test_assemble_peak_memory(grid6):
-    """assemble_operator allocates the N x N block and vectors, no more."""
+    """Assembling and reading the block allocate the N x N block and
+    vectors, no more."""
     n = grid6.N
     tracemalloc.start()
     try:
-        fr.assemble_operator(1, grid6)
+        fr.assemble_operator(1, grid6).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,6 +628,19 @@ def _count_solves(monkeypatch) -> list:
     return calls
 
 
+def _count_blocks(monkeypatch) -> list:
+    """Record the grid size of each block built."""
+    calls = []
+    inner = fr._volterra
+
+    def counted(grid):
+        calls.append(grid.N)
+        return inner(grid)
+
+    monkeypatch.setattr(fr, "_volterra", counted)
+    return calls
+
+
 def _result_bytes(r) -> tuple:
     """The sorted to_json text and the ker-then-coker vector bytes."""
     return (json.dumps(r.to_json(), sort_keys=True),
@@ -663,6 +665,23 @@ class TestSharedSolve:
         fresh = fr.numerical_index(op2)
         assert len(calls) == 3
         assert _result_bytes(hit) == _result_bytes(fresh)
+
+    def test_hit_builds_no_block(self, grid, monkeypatch):
+        fr.numerical_index(fr.assemble_operator(1, grid))
+        built = _count_blocks(monkeypatch)
+        op2 = fr.assemble_operator(2, fr.build_grid(8.0, 64))
+        r = fr.numerical_index(op2)
+        assert (r.dim_ker, r.dim_coker) == (1, 0)
+        assert "matrix" not in vars(op2)
+        assert built == []
+
+    def test_miss_builds_the_block_once(self, grid, monkeypatch):
+        built = _count_blocks(monkeypatch)
+        op = fr.assemble_operator(1, grid)
+        assert built == []
+        fr.numerical_index(op)
+        assert op.matrix is vars(op)["matrix"]
+        assert built == [64]
 
     def test_one_ulp_change_is_a_miss(self, grid, monkeypatch):
         calls = _count_solves(monkeypatch)
@@ -699,14 +718,6 @@ class TestSharedSolve:
         fr.numerical_index(op)
         assert len(calls) == 2
 
-    def test_threshold_policy_is_keyed(self, grid, monkeypatch):
-        op = fr.assemble_operator(1, grid)
-        calls = _count_solves(monkeypatch)
-        fr.numerical_index(op)
-        fr.numerical_index(op, threshold_policy=1e-6)
-        fr.numerical_index(op, threshold_policy=1e-6)
-        assert len(calls) == 2
-
     def test_iteration_cap_after_cached_solve(self, grid, monkeypatch):
         op = fr.assemble_operator(1, grid)
         calls = _count_solves(monkeypatch)
@@ -730,7 +741,7 @@ class TestSharedSolve:
     def test_cached_arrays_are_read_only(self, grid, monkeypatch):
         _count_solves(monkeypatch)
         fr.numerical_index(fr.assemble_operator(1, grid))
-        _, (_, *arrays, _) = fr._last_solve
+        _, (_, _, *arrays, _) = fr._last_solve
         assert len(arrays) == 3
         for a in arrays:
             assert not a.flags.writeable
