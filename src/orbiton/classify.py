@@ -619,13 +619,16 @@ def _md_bar_witness(g: LieAlgebra, W: Subspace) -> Optional[np.ndarray]:
     return None
 
 
-def classify_md_bar(g: LieAlgebra) -> MDBarLabel:
+def classify_md_bar(g: LieAlgebra,
+                    md4: Optional[MD4Label] = None) -> MDBarLabel:
     """Sort an algebra into Abelian / AffR / AffC / NotMDBar.
 
     The MD-bar algebras are R^n, aff(R) and aff(C): the tag is Abelian when
     [g, g] = 0, AffR in dimension 2, AffC when dim g = 4, dim [g, g] = 2 and
-    classify_md4 finds g424, and NotMDBar otherwise.  A NotMDBar label
-    carries the witness of _md_bar_witness, which may be None.
+    classify_md4 finds g424, and NotMDBar otherwise.  A caller that already
+    holds classify_md4(g) passes it as md4, and it is not computed again.
+    A NotMDBar label carries the witness of _md_bar_witness, which may be
+    None.
     """
     W = derived_subalgebra(g)
     if W.dim == 0:
@@ -634,7 +637,8 @@ def classify_md_bar(g: LieAlgebra) -> MDBarLabel:
         return MDBarLabel("AffR")
     if g.dim == 4 and W.dim == 2:
         try:
-            if classify_md4(g).family == "g424":
+            label = classify_md4(g) if md4 is None else md4
+            if label.family == "g424":
                 return MDBarLabel("AffC")
         except (NotSolvableError, DegenerateJordanError):
             pass

@@ -160,6 +160,7 @@ def run_classify(cfg: RunConfig):
         "status": "ok",
     }
     code = EXIT_OK
+    label = None
     if g.dim == 4:
         try:
             label = _classify.classify_md4(g)
@@ -176,7 +177,7 @@ def run_classify(cfg: RunConfig):
         if label.family == "NotMD4":
             report["status"] = "fail"
             code = EXIT_CHECK_FAILED
-    bar = _classify.classify_md_bar(g)
+    bar = _classify.classify_md_bar(g, label)
     report["md_bar"] = bar.to_json()
     return report, code
 

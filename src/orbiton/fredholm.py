@@ -16,33 +16,36 @@ The reflection x -> -x swaps the two half-lines, so each operator splits
 into its parity sectors: on one (even for S_1, odd for S_2) it acts as
 the N x N block I - 2 B, with B the lower-triangular Volterra-type
 quadrature of one half-line, and on the other as the identity.  The
-operator's matrix is that one block, the same for both; which only
-fixes the parity [r, s r] of the sector it acts on.  The index is computed
-from the block: exp(-x^2/2) underflows to exactly 0 far out, so the
-block's trailing rows are exact unit rows and it is exactly diag(M, I);
-M's smallest singular triples come from inverse subspace iteration with
-triangular solves (Golub & Van Loan, Matrix Computations), the identity
-rows and the identity sector contribute unit singular values, and kernel
-vectors are zero-padded and lifted back to the 2N layout by parity.
+block is the same for both operators; which only fixes the parity
+[r, s r] of the sector it acts on.  The index is computed from the
+block: exp(-x^2/2) underflows to exactly 0 far out, so the block's
+trailing rows are exact unit rows and it is exactly diag(M, I); M's
+smallest singular triples come from inverse subspace iteration
+(Golub & Van Loan, Matrix Computations), the identity rows and the
+identity sector contribute unit singular values, and kernel vectors are
+zero-padded and lifted back to the 2N layout by parity.
 
 B has the finite-section structure of a Wiener-Hopf operator (Boettcher &
-Silbermann, Analysis of Toeplitz Operators): a lower-triangular Toeplitz
-matrix of the interior quadrature weights plus corrections in its first
-four columns.  The block is built that way, one N x N copy that
-becomes the block in place; on the enlarged window of the stability test
-B is never formed, only applied from those generators, a convolution
-with the weights plus the four correction columns.
+Silbermann, Analysis of Toeplitz Operators): diag(gauss) times a
+lower-triangular Toeplitz matrix of the interior quadrature weights, with
+corrections in its first four columns.  The weights are
+p[d] = h q^d - (h/3) (-q)^d off the diagonal, q = exp(-2h), so every
+block below the diagonal has rank 2 outside those columns.  The index
+path never forms B: _Block applies and solves I - 2 B from these
+generators by blocks of rows, a dense diagonal block each and two
+running sums carrying the rest, in O(N) storage and work per vector.
+The same _Block applies the operator on the enlarged window of the
+stability test.  DiscreteOperator.matrix, the dense block, is a
+reference for tests and is built only when read.
 
-The block is built on the first read of DiscreteOperator.matrix.  Since
-S_1 and S_2 have the same block, they share one sector solve: the
+Since S_1 and S_2 have the same block, they share one sector solve: the
 deflated size, sigma_max and the smallest singular triples of the block
 are kept in a one-slot memo.  The block is a function of the grid, so the
 memo is keyed by the grid (L, N and the bytes of its s and weights, which
-are read-only) and the iteration constants read at call time.  Asking
-for S_2 right after S_1 on an equal grid reuses the solve and never
-builds S_2's block; the gap logic, the parity lift and the stability
-residuals run for each operator.  The index data are the same bit for
-bit as those of a fresh solve.
+are read-only) and the constants the solve reads at call time.  Asking
+for S_2 right after S_1 on an equal grid reuses the solve; the gap logic,
+the parity lift and the stability residuals run for each operator.  The
+index data are the same bit for bit as those of a fresh solve.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ _PROBE = 8
 _ITER_RTOL = 1e-10
 _ITER_CAP = 60
 _SIGMA_CAP = 40
+# Rows per diagonal block of the structured sector solve and products;
+# at least 4, so that the head columns sit in the first block.
+_BLOCK = 256
 
 
 class FredholmError(Exception):
@@ -295,10 +301,11 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         """The N x N parity block I - 2 B, built from the grid on first read.
 
-        B is the half-line Volterra block, lower-triangular by
-        construction, and the entries are formed as -2 b off the diagonal
-        and (1 - b) - b on it, the sums A11 + s A12 of the 2N x 2N matrix
-        I - [[B, s B], [s B, B]] bit for bit.  The block is read-only.
+        A dense reference: no index path reads it.  B is the half-line
+        Volterra block, lower-triangular by construction, and the entries
+        are formed as -2 b off the diagonal and (1 - b) - b on it, the
+        sums A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]]
+        bit for bit.  The block is read-only.
         """
         m = _volterra(self.grid)
         b = np.diagonal(m).copy()
@@ -387,88 +394,277 @@ class IndexResult:
         }
 
 
-def _deflated_size(m: np.ndarray) -> int:
-    """Start k of the trailing run of exact unit rows of a lower-triangular m.
+def _deflated_size(gauss: np.ndarray, p: np.ndarray,
+                   head: np.ndarray) -> int:
+    """Start k of the trailing run of exact unit rows of the parity block.
 
-    Row i counts when m[i, i] == 1 and m[i, :i] is all zero (NaN is not
-    zero), so m is exactly diag(m[:k, :k], I); k = N when the last row is
-    not a unit row.  A zero on the diagonal of the leading block raises
-    BadParams, before any iteration runs.
+    Read from the generators: row i of I - 2 diag(gauss) K is a unit row
+    when gauss[i] * max|K[i, :i]| == 0, which holds exactly when every
+    product gauss[i] K[i, j] left of the diagonal is 0 (rounding is
+    monotone, so subnormal gauss rows count as the dense block does), and
+    its diagonal (1 - b) - b, b = gauss[i] K[i, i], is 1.  So the block is
+    exactly diag(M, I) with M its leading k x k block; k = N when the last
+    row is not a unit row.  A zero on the diagonal of M raises BadParams,
+    before any iteration runs.
     """
-    k = m.shape[0]
-    while k and m[k - 1, k - 1] == 1.0 and not np.count_nonzero(
-            m[k - 1, :k - 1]):
-        k -= 1
-    diag = np.diagonal(m)[:k]
-    if not np.all(diag):
+    n = gauss.size
+    cols = head.shape[1]
+    # Left of the diagonal, row i reads head[i, :min(i, cols)] and p[d]
+    # for 1 <= d <= i - cols.
+    off = np.abs(np.tril(head, -1)).max(axis=1, initial=0.0)
+    far = np.maximum.accumulate(np.abs(p[1:n - cols]))
+    off[cols + 1:] = np.maximum(off[cols + 1:], far)
+    kdiag = np.full(n, p[0])
+    kdiag[:cols] = np.diagonal(head)
+    b = gauss * kdiag
+    diag = (1.0 - b) - b
+    live = np.flatnonzero((gauss * off != 0.0) | (diag != 1.0))
+    k = int(live[-1]) + 1 if live.size else 0
+    if not np.all(diag[:k]):
         raise BadParams(
             f"parity sector is exactly singular (zero diagonal at row "
-            f"{int(np.argmin(np.abs(diag)))})")
+            f"{int(np.argmin(np.abs(diag[:k])))})")
     return k
 
 
-def _weighted_sector(op: DiscreteOperator, k: Optional[int] = None):
-    """The leading k x k parity block (all of it by default) in the
-    weighted geometry, and W^(1/2) of a whole half."""
-    # Conjugating by W^(1/2) turns the weighted L2 geometry into the plain
-    # Euclidean one, so ordinary singular values are the operator's.
-    root = np.sqrt(op.grid.weights[:op.grid.N])
-    k = op.grid.N if k is None else k
-    sector = op.matrix[:k, :k] * root[:k, None]
-    sector /= root[None, :k]
-    return sector, root
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by a pairwise sum, with no BLAS call.
+
+    np.linalg.norm of a vector sums through BLAS ddot, which OpenBLAS
+    splits over threads above 10000 elements; this sum does not depend on
+    the thread count.
+    """
+    return math.sqrt(float(np.sum(v * v)))
 
 
-def _sigma_max(m: np.ndarray) -> float:
-    """Largest singular value by power iteration on m^T m.
+class _Block:
+    """The k x k parity block A = R (I - 2 diag(gauss) K) R^-1, from its
+    generators.
 
-    The estimate is |m v| for the unit iterate v.  It stops once that
+    K is the shift kernel: lower-triangular Toeplitz with p[d] =
+    h q^d - (h/3) (-q)^d for d >= 1, q = exp(-2h), except in its head
+    columns 0-3.  So every block of K below the diagonal has rank 2 away
+    from those columns (a quasiseparable matrix of order 2; Eidelman &
+    Gohberg, IEOT 34, 1999).  The rows are cut into blocks of _BLOCK rows
+    (at least 4); each diagonal block is dense, and two running sums per
+    right-hand side, of q^d x and of (-q)^d x, carry the Toeplitz far
+    field from block to block.  The head columns are a rank-4 update.  A
+    solve, a transposed solve and a product with A or A^T then cost O(k)
+    work per right-hand side.  R is diag(root), the square root of the
+    weights, applied as row and column scalings (R = I when root is None).
+
+    Products share one _BLOCK x _BLOCK Toeplitz block; the solves form
+    the triangular diagonal blocks of I - 2 diag(gauss) K on first use,
+    entry for entry as DiscreteOperator.matrix holds them.  Every method
+    takes a (k,) or (k, m) array.
+    """
+
+    def __init__(self, gauss: np.ndarray, p: np.ndarray, head: np.ndarray,
+                 h: float, root: Optional[np.ndarray] = None):
+        k = gauss.size
+        self.shape = (k, k)
+        self.gauss = gauss[:, None]
+        self.head = head[:k, :min(k, head.shape[1])]
+        self.root = None if root is None else root[:, None]
+        self.rows = _BLOCK
+        d = np.arange(min(_BLOCK, k))
+        self.toeplitz = np.tril(p[np.abs(d[:, None] - d)])
+        # powers[t] = (q^t, (-q)^t), scaled by coef = (h, -h/3) where a
+        # sum meets p.
+        decay = np.exp(-2.0 * h * np.arange(d.size + 1))
+        self.powers = np.stack([decay, decay], axis=1)
+        self.powers[1::2, 1] *= -1.0
+        self.coef = np.array([[h], [-h / 3.0]])
+
+    def _starts(self) -> range:
+        return range(0, self.shape[0], self.rows)
+
+    @functools.cached_property
+    def _factors(self) -> list:
+        """The diagonal blocks of I - 2 diag(gauss) K, lower-triangular."""
+        out = []
+        for a in self._starts():
+            e = min(a + self.rows, self.shape[0])
+            kern = self.toeplitz[:e - a, :e - a].copy()
+            if a == 0:
+                kern[:, :self.head.shape[1]] = self.head[:e]
+            kern *= self.gauss[a:e]
+            b = np.diagonal(kern).copy()
+            kern *= -2.0
+            kern[np.diag_indices_from(kern)] = (1.0 - b) - b
+            out.append(kern)
+        return out
+
+    def _sweep(self, state: np.ndarray, n: int, forward: bool):
+        """The far field on a block of n rows, and the weights that move
+        the two sums past it.
+
+        Forward, state sums (+-q)^(a-j) x_j over the columns j < a left of
+        the block, which row a + r reads times (+-q)^r; backward, it sums
+        (+-q)^(i-e) w_i over the rows i >= e after the block, which column
+        a + r reads times (+-q)^(n-r).
+        """
+        near, far = self.powers[:n], self.powers[n:0:-1]
+        if not forward:
+            near, far = far, near
+        return near @ (self.coef * state), far
+
+    def _push(self, state, weights, x):
+        n = x.shape[0]
+        return self.powers[n][:, None] * state + weights.T @ x
+
+    def _head_t(self, w: np.ndarray, start: int = 0) -> np.ndarray:
+        """head[start:]^T w[start:], each column summed pairwise."""
+        return np.stack([np.sum(col[start:, None] * w[start:], axis=0)
+                         for col in self.head.T])
+
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        """K x."""
+        toeplitz_part = x.copy()
+        toeplitz_part[:self.head.shape[1]] = 0.0
+        out = np.empty_like(x)
+        state = np.zeros((2, x.shape[1]))
+        for a in self._starts():
+            xa = toeplitz_part[a:a + self.rows]
+            n = xa.shape[0]
+            field, weights = self._sweep(state, n, True)
+            out[a:a + n] = self.toeplitz[:n, :n] @ xa + field
+            state = self._push(state, weights, xa)
+        for c, col in enumerate(self.head.T):
+            out += col[:, None] * x[c]
+        return out
+
+    def _kernel_t(self, w: np.ndarray) -> np.ndarray:
+        """K^T w."""
+        out = np.empty_like(w)
+        state = np.zeros((2, w.shape[1]))
+        for a in reversed(self._starts()):
+            wa = w[a:a + self.rows]
+            n = wa.shape[0]
+            field, weights = self._sweep(state, n, False)
+            out[a:a + n] = self.toeplitz[:n, :n].T @ wa + field
+            state = self._push(state, weights, wa)
+        out[:self.head.shape[1]] = self._head_t(w)
+        return out
+
+    def _forward(self, y: np.ndarray) -> np.ndarray:
+        """(I - 2 diag(gauss) K)^-1 y, block by block from the top."""
+        x = np.empty_like(y)
+        state = np.zeros((2, y.shape[1]))
+        for a, factor in zip(self._starts(), self._factors):
+            n = factor.shape[0]
+            field, weights = self._sweep(state, n, True)
+            rhs = y[a:a + n]
+            if a:
+                for c, col in enumerate(self.head[a:a + n].T):
+                    field += col[:, None] * x[c]
+                rhs = rhs + 2.0 * (self.gauss[a:a + n] * field)
+            xa = x[a:a + n]
+            xa[:] = scipy.linalg.solve_triangular(
+                factor, rhs, lower=True, check_finite=False)
+            if a == 0:
+                xa = xa.copy()
+                xa[:self.head.shape[1]] = 0.0
+            state = self._push(state, weights, xa)
+        return x
+
+    def _backward(self, y: np.ndarray) -> np.ndarray:
+        """(I - 2 diag(gauss) K)^-T y, block by block from the bottom."""
+        z = np.empty_like(y)
+        w = np.empty_like(y)
+        state = np.zeros((2, y.shape[1]))
+        for a, factor in zip(reversed(self._starts()),
+                             reversed(self._factors)):
+            n = factor.shape[0]
+            field, weights = self._sweep(state, n, False)
+            if a == 0:
+                field[:self.head.shape[1]] = self._head_t(w, n)
+            z[a:a + n] = scipy.linalg.solve_triangular(
+                factor, y[a:a + n] + 2.0 * field, trans="T", lower=True,
+                check_finite=False)
+            w[a:a + n] = self.gauss[a:a + n] * z[a:a + n]
+            state = self._push(state, weights, w[a:a + n])
+        return z
+
+    def _apply(self, f, x, transposed: bool):
+        """f on x as a (k, m) array, between R^-1 and R (between R and
+        R^-1 when transposed)."""
+        x = np.asarray(x, dtype=float)
+        y = x[:, None] if x.ndim == 1 else x
+        if self.root is not None:
+            y = y * self.root if transposed else y / self.root
+        y = f(y)
+        if self.root is not None:
+            y = y / self.root if transposed else y * self.root
+        return y[:, 0] if x.ndim == 1 else y
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return self._apply(
+            lambda y: y - 2.0 * (self.gauss * self._kernel(y)), x, False)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """A^T x."""
+        return self._apply(
+            lambda y: y - 2.0 * self._kernel_t(self.gauss * y), x, True)
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """A^-1 x."""
+        return self._apply(self._forward, x, False)
+
+    def rsolve(self, x: np.ndarray) -> np.ndarray:
+        """A^-T x."""
+        return self._apply(self._backward, x, True)
+
+
+def _sigma_max(block: _Block) -> float:
+    """Largest singular value by power iteration on A^T A.
+
+    The estimate is |A v| for the unit iterate v.  It stops once that
     moved less than _ITER_RTOL relative in one step, and raises
     NotConverged after _SIGMA_CAP steps.
     """
-    if not m.size:
+    if not block.shape[0]:
         return 0.0
     rng = np.random.default_rng(54321)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
+    v = rng.standard_normal(block.shape[1])
+    v /= _norm(v)
     prev = 0.0
     change = math.inf
     for _ in range(_SIGMA_CAP):
-        w = m @ v
-        est = float(np.linalg.norm(w))
+        w = block.matvec(v)
+        est = _norm(w)
         if est == 0.0:
             return 0.0
         change = abs(est - prev) / est
         if change < _ITER_RTOL:
             return est
         prev = est
-        v = m.T @ w
-        v /= np.linalg.norm(v)
+        v = block.rmatvec(w)
+        v /= _norm(v)
     raise NotConverged(_SIGMA_CAP, change, "power iteration for sigma_max")
 
 
-def _sector_triples(m: np.ndarray, k: int, gate: float):
-    """Smallest k singular triples of a lower-triangular m.
+def _sector_triples(block: _Block, k: int, gate: float):
+    """Smallest k singular triples of the block A.
 
-    Inverse subspace iteration: each step applies (m^T m)^-1 by two
-    triangular solves, re-orthonormalizes, and takes Ritz values from the
-    block.  It stops once the values under `gate`, plus the next one, all
-    moved less than _ITER_RTOL relative; after _ITER_CAP steps it raises
-    NotConverged.  Returns (sigmas ascending, right vectors, left
-    vectors, steps taken).
+    Inverse subspace iteration: each step applies (A^T A)^-1 by a
+    transposed and a plain block solve, re-orthonormalizes, and takes Ritz
+    values from the block.  It stops once the values under `gate`, plus
+    the next one, all moved less than _ITER_RTOL relative; after
+    _ITER_CAP steps it raises NotConverged.  Returns (sigmas ascending,
+    right vectors, left vectors, steps taken).
     """
     rng = np.random.default_rng(12345)
-    v = np.linalg.qr(rng.standard_normal((m.shape[0], k)))[0]
+    v = np.linalg.qr(rng.standard_normal((block.shape[0], k)))[0]
     prev = None
     change = math.inf
     for step in range(1, _ITER_CAP + 1):
-        z = scipy.linalg.solve_triangular(m, v, trans="T", lower=True,
-                                          check_finite=False)
-        y = scipy.linalg.solve_triangular(m, z, lower=True,
-                                          check_finite=False)
+        z = block.rsolve(v)
+        y = block.solve(z)
         v, r = scipy.linalg.qr(y, mode="economic", check_finite=False)
-        # v = y r^-1 and m y = z, so m v = z r^-1: the Ritz block costs a
-        # k x k solve instead of another pass over m.
+        # v = y r^-1 and A y = z, so A v = z r^-1: the Ritz block costs a
+        # k x k solve instead of another pass over A.
         c = scipy.linalg.solve_triangular(r, z.T, trans="T",
                                           check_finite=False).T
         evals, basis = np.linalg.eigh(c.T @ c)
@@ -484,10 +680,9 @@ def _sector_triples(m: np.ndarray, k: int, gate: float):
     else:
         raise NotConverged(_ITER_CAP, change)
     rights = v @ basis
-    # m^-T r = u / sigma, so normalizing the solve reproduces the left
+    # A^-T r = u / sigma, so normalizing the solve reproduces the left
     # vector for any sigma > 0 without dividing by a tiny sigma.
-    lefts = scipy.linalg.solve_triangular(m, rights, trans="T", lower=True,
-                                          check_finite=False)
+    lefts = block.rsolve(rights)
     lefts /= np.linalg.norm(lefts, axis=0)
     return vals, rights, lefts, step
 
@@ -499,36 +694,53 @@ _last_solve = None
 def _solve_key(grid: LogGrid) -> tuple:
     """Everything the sector solve reads.
 
-    The key assumes the block is a function of the grid, so the grid
-    stands for it: L, N and the bytes of s and of the weights, all
-    read-only.  Then _PROBE, _ITER_RTOL, _ITER_CAP and _SIGMA_CAP as they
-    stand at call time.  A block built any other way (a test that patches
-    _volterra) must start from an empty memo.
+    The block is a function of the grid, so the grid stands for it: L, N
+    and the bytes of s and of the weights, all read-only.  Then _PROBE,
+    _ITER_RTOL, _ITER_CAP, _SIGMA_CAP and _BLOCK as they stand at call
+    time.  A block built any other way (a test that patches _gauss or
+    _kernel_generators) must start from an empty memo.
     """
     return (grid.L, grid.N, grid.s.tobytes(), grid.weights.tobytes(),
-            _PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP)
+            _PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP, _BLOCK)
+
+
+def _sector_block(grid: LogGrid) -> _Block:
+    """The deflated k x k parity block in the weighted geometry.
+
+    Built from the generators: the deflated size first (BadParams on a
+    zero diagonal), then the block with R = W^(1/2) of the leading k
+    nodes.  Conjugating by W^(1/2) turns the weighted L2 geometry into the
+    plain Euclidean one, so ordinary singular values are the operator's.
+    """
+    gauss = _gauss(grid)
+    p, head = _kernel_generators(grid.N, grid.h)
+    k = _deflated_size(gauss, p, head)
+    return _Block(gauss[:k], p, head, grid.h,
+                  root=np.sqrt(grid.weights[:k]))
 
 
 def _sector_solve(op: DiscreteOperator) -> tuple:
     """Deflated size, sigma_max and smallest singular triples of the block.
 
     Returns (k, sigma_max, values, right vectors, left vectors, steps),
-    the arrays read-only.  S_1 and S_2 on equal grids have the same block,
-    so the last solve is kept in a one-slot memo under _solve_key and the
-    second operator reuses it without reading its own block; a solve that
+    the arrays read-only.  The block comes from _sector_block and is
+    never formed.  S_1 and S_2 on equal
+    grids have the same block, so the last solve is kept in a one-slot
+    memo under _solve_key and the second operator reuses it; a solve that
     raises leaves the slot as it was.
     """
     global _last_solve
-    key = _solve_key(op.grid)
+    grid = op.grid
+    key = _solve_key(grid)
     # One read of the slot: another thread may replace it meanwhile.
     last = _last_solve
     if last is not None and last[0] == key:
         return last[1]
-    k = _deflated_size(op.matrix)
-    sector, _ = _weighted_sector(op, k)
-    sigma_max = max(_sigma_max(sector), 1.0)
+    block = _sector_block(grid)
+    k = block.shape[0]
+    sigma_max = max(_sigma_max(block), 1.0)
     sig, rights, lefts, iterations = _sector_triples(
-        sector, min(_PROBE, k), NEAR_ZERO_FACTOR * sigma_max)
+        block, min(_PROBE, k), NEAR_ZERO_FACTOR * sigma_max)
     for a in (sig, rights, lefts):
         a.setflags(write=False)
     solve = (k, sigma_max, sig, rights, lefts, iterations)
@@ -539,13 +751,10 @@ def _sector_solve(op: DiscreteOperator) -> tuple:
 class _Window:
     """The sector block I - 2 B on a window enlarged by 2 in L, same step.
 
-    B = diag(gauss) (T + D) is applied from its generators and never
-    formed: T f is the causal convolution of f with the Toeplitz weights,
-    and D holds the corrections in columns 0-3 (the head of the kernel
-    minus its Toeplitz part).  Storage is O(n) and an apply O(n^2) work.
-    np.convolve sums through BLAS ddot, which OpenBLAS keeps on one
-    thread below 10000 elements, so on windows that short the results do
-    not depend on the thread count.
+    B = diag(gauss) K is applied as a _Block of the window grid, from its
+    generators, and never formed: O(n) storage and work per apply, and no
+    sum that BLAS splits over threads, so the results do not depend on
+    the thread count at any window length.
     """
 
     def __init__(self, grid: LogGrid):
@@ -553,28 +762,16 @@ class _Window:
         self.grid = build_grid(grid.L + self.offset * grid.h,
                                grid.N + 2 * self.offset)
         n = self.grid.N
-        self.p, head = _kernel_generators(n, self.grid.h)
-        for c in range(head.shape[1]):
-            head[c:, c] -= self.p[:n - c]
-        self.fix = np.ascontiguousarray(head.T)
-        self.gauss = _gauss(self.grid)
+        p, head = _kernel_generators(n, self.grid.h)
+        self.block = _Block(_gauss(self.grid), p, head, self.grid.h)
         self.weights = self.grid.weights[:n]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        bf = np.convolve(self.p, f)[:f.size]
-        for c, col in enumerate(self.fix):
-            bf += col * f[c]
-        return f - 2.0 * (self.gauss * bf)
+        return self.block.matvec(f)
 
     def apply_adjoint(self, g: np.ndarray) -> np.ndarray:
-        # Adjoint in the weighted geometry: W^-1 A^T W, where B^T y is
-        # T^T y (the convolution run backwards) plus D^T y in entries 0-3.
-        wg = self.weights * g
-        y = self.gauss * wg
-        bt = np.convolve(y[::-1], self.p)[:y.size][::-1]
-        for c, col in enumerate(self.fix):
-            bt[c] += np.sum(col * y)
-        return (wg - 2.0 * bt) / self.weights
+        # Adjoint in the weighted geometry: W^-1 A^T W.
+        return self.block.rmatvec(self.weights * g) / self.weights
 
 
 def _stability_residual(window: _Window, v: np.ndarray,
@@ -584,8 +781,7 @@ def _stability_residual(window: _Window, v: np.ndarray,
     padded[window.offset:window.offset + v.size] = v
     image = window.apply_adjoint(padded) if adjoint else window.apply(padded)
     root = np.sqrt(window.weights)
-    return float(np.linalg.norm(root * image) /
-                 np.linalg.norm(root * padded))
+    return _norm(root * image) / _norm(root * padded)
 
 
 def numerical_index(op: DiscreteOperator) -> IndexResult:
@@ -595,32 +791,35 @@ def numerical_index(op: DiscreteOperator) -> IndexResult:
     its lower-triangular parity block on one sector and the identity on
     the other.  The block's trailing run of exact unit rows (where
     exp(-x^2/2) underflows to 0) is deflated: the block is exactly
-    diag(M, I), and only M is copied into the weighted geometry.
-    sigma_max comes from power iteration on M, stopped once it settles
-    (NotConverged at its cap), and is at least 1.  M's smallest singular
-    triples come from inverse subspace iteration with triangular solves
-    (NotConverged if the values that feed the gap gate do not settle) and
-    are merged with the unit singular values of the deflated rows and of
-    the identity sector.  The cut sits at the largest ratio jump among
-    singular values below 1e-3 * sigma_max, and that jump must exceed 100
-    (GapTooSmall otherwise).  Candidate kernel directions are the
-    singular vectors under the cut, zero on the deflated rows and lifted
-    to the 2N layout as [r, s r] / sqrt(2); each must stay a near-null
-    vector after zero-padding onto a window enlarged by 2 in L (same step)
-    to count, which is what separates dim_ker from dim_coker on a square
-    truncation.  The window's block is applied from its Toeplitz
-    generators, never formed.
+    diag(M, I), and the size of M and the zero-diagonal check are read
+    from the generators before any iteration.  M is never formed: it is
+    applied and solved by blocks from its generators (_Block), with the
+    W^(1/2) weighting as row and column scalings.  sigma_max comes from
+    power iteration on M, stopped once it settles (NotConverged at its
+    cap), and is at least 1.  M's smallest singular triples come from
+    inverse subspace iteration with block solves (NotConverged if the
+    values that feed the gap gate do not settle) and are merged with the
+    unit singular values of the deflated rows and of the identity sector.
+    The cut sits at the largest ratio jump among singular values below
+    1e-3 * sigma_max, and that jump must exceed 100 (GapTooSmall
+    otherwise).  Candidate kernel directions are the singular vectors
+    under the cut, zero on the deflated rows and lifted to the 2N layout
+    as [r, s r] / sqrt(2); each must stay a near-null vector after
+    zero-padding onto a window enlarged by 2 in L (same step) to count,
+    which is what separates dim_ker from dim_coker on a square
+    truncation.  The window's block is a _Block too.  No step sums
+    through a BLAS call that splits a sum over threads, so the data do
+    not depend on the thread count.
 
     The deflated size, sigma_max and the sector's singular triples are
     computed once per grid: the last solve is kept in a one-slot memo
     keyed by the grid (L, N and the bytes of its read-only s and weights)
-    and the iteration constants (_PROBE, _ITER_RTOL, _ITER_CAP,
-    _SIGMA_CAP) as they stand at the call.  So S_2 right after S_1 on an
-    equal grid reuses S_1's solve, never builds its own block and gives
-    the same data as a fresh solve; a changed constant or a one-ulp
-    change of a weight is a miss, and a solve that raises is not kept.
-    The gap logic, the parity lift and the stability residuals run on
-    every call.
+    and the constants (_PROBE, _ITER_RTOL, _ITER_CAP, _SIGMA_CAP, _BLOCK)
+    as they stand at the call.  So S_2 right after S_1 on an equal grid
+    reuses S_1's solve and gives the same data as a fresh solve; a
+    changed constant or a one-ulp change of a weight is a miss, and a
+    solve that raises is not kept.  The gap logic, the parity lift and
+    the stability residuals run on every call.
     """
     half = op.grid.N
     n = 2 * half

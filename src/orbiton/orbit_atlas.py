@@ -63,8 +63,10 @@ _GRID_HALF_WIDTH = 30.0
 _GRID_POINTS = 961
 # Central-difference step of the orbit tangents in check_tangency.
 _TANGENT_STEP = 1e-5
-# Points of F + h-perp tested for orbit membership in check_polarization.
+# Points of F + h-perp tested for orbit membership in check_polarization,
+# drawn from a generator seeded with _PUKANSZKY_SEED.
 _PUKANSZKY_SAMPLES = 100
+_PUKANSZKY_SEED = 0
 
 
 class UnknownFamily(LieAlgebraError):
@@ -741,8 +743,7 @@ def _membership_in_orbit(g: LieAlgebra, F: np.ndarray
     return None
 
 
-def check_polarization(g: LieAlgebra, F, h: Subspace, seed: int = 0
-                       ) -> PolarizationReport:
+def check_polarization(g: LieAlgebra, F, h: Subspace) -> PolarizationReport:
     """Real-polarization tests for the subspace h at the functional F."""
     F = np.asarray(F, dtype=float)
     if F.shape != (g.dim,):
@@ -782,7 +783,7 @@ def check_polarization(g: LieAlgebra, F, h: Subspace, seed: int = 0
                                   isotropic, codim_ok, None, 0, residuals)
 
     perp = h.orthogonal_complement().basis_matrix
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PUKANSZKY_SEED)
     worst = 0.0
     for _ in range(_PUKANSZKY_SAMPLES):
         coeffs = rng.standard_normal(perp.shape[1]) * (1.0 + fnorm)

@@ -92,6 +92,25 @@ class TestClassify:
         assert rep["md4"]["family"] == "NotMD4"
         assert rep["status"] == "fail"
 
+    @pytest.mark.parametrize("name,tag", (("aff-c", "AffC"),
+                                          ("g421", "NotMDBar")))
+    def test_one_md4_classification_per_report(self, name, tag, capsys,
+                                                monkeypatch):
+        # the md-bar decision reuses the label the report already holds
+        calls = []
+        inner = classify.classify_md4
+
+        def counted(g, *args, **kwargs):
+            calls.append(g.dim)
+            return inner(g, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "classify_md4", counted)
+        code, doc = run_json(capsys, "classify", "--builtin", name,
+                             "--format", "json")
+        assert code == 0
+        assert doc["md_bar"]["tag"] == tag
+        assert calls == [4]
+
     def test_text_format(self, capsys):
         code, out = run(capsys, "classify", "g421", "--format", "text")
         assert code == 0

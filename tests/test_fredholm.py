@@ -8,6 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from orbiton import fredholm as fr
 
@@ -15,8 +16,8 @@ from orbiton import fredholm as fr
 @pytest.fixture(autouse=True)
 def _empty_solve_memo(monkeypatch):
     """Start every test with an empty solve memo.  The memo is keyed by the
-    grid, so a test that patches _volterra must not get a solve kept from
-    the real block of an equal grid."""
+    grid, so a test that patches _gauss or _kernel_generators must not get
+    a solve kept from the real block of an equal grid."""
     monkeypatch.setattr(fr, "_last_solve", None)
 
 
@@ -52,6 +53,47 @@ def _dense_reference(which, grid):
 def _full_weighted(which, grid):
     root = np.sqrt(grid.weights)
     return (root[:, None] * _dense_reference(which, grid)) / root[None, :]
+
+
+def _weighted_sector(op, k=None):
+    """The leading k x k block of op.matrix (all of it by default) in the
+    weighted geometry: W^(1/2) M W^(-1/2), the dense form of the block
+    the index path solves."""
+    root = np.sqrt(op.grid.weights[:op.grid.N])
+    k = op.grid.N if k is None else k
+    sector = op.matrix[:k, :k] * root[:k, None]
+    sector /= root[None, :k]
+    return sector
+
+
+def _dense_deflated_size(m):
+    """Start k of the trailing run of exact unit rows of a lower-triangular
+    m, scanned on the dense block: row i counts when m[i, i] == 1 and
+    m[i, :i] is all zero."""
+    k = m.shape[0]
+    while k and m[k - 1, k - 1] == 1.0 and not np.count_nonzero(
+            m[k - 1, :k - 1]):
+        k -= 1
+    return k
+
+
+def _patch_generators(monkeypatch, gauss=None, unit_diagonal=False):
+    """Change the generators that the dense block and the index path both
+    read: gauss(grid) becomes the row factor, and with unit_diagonal the
+    kernel's diagonal is 1, so a row factor of 0.5 zeroes the diagonal
+    (1 - b) - b exactly."""
+    if gauss is not None:
+        monkeypatch.setattr(fr, "_gauss", gauss)
+    if unit_diagonal:
+        inner = fr._kernel_generators
+
+        def generators(n, h):
+            p, head = inner(n, h)
+            p[0] = 1.0
+            head[np.diag_indices(head.shape[1])] = 1.0
+            return p, head
+
+        monkeypatch.setattr(fr, "_kernel_generators", generators)
 
 
 class TestGrid:
@@ -220,12 +262,13 @@ class TestIndex:
                                     orc.f, which) > 0.999
 
     def test_identity_has_zero_index(self, monkeypatch):
-        # B = 0 makes the block the identity
-        monkeypatch.setattr(fr, "_volterra", lambda grid: np.zeros((16, 16)))
+        # gauss = 0 makes B = 0 and the block the identity
+        _patch_generators(monkeypatch, gauss=lambda grid: np.zeros(grid.N))
         ident = fr.DiscreteOperator(grid=fr.build_grid(1.0, 16), which=1)
         assert np.array_equal(ident.matrix, np.eye(16))
         # every row is a unit row: nothing is left to iterate on
-        assert fr._deflated_size(ident.matrix) == 0
+        assert _dense_deflated_size(ident.matrix) == 0
+        assert fr._sector_block(ident.grid).shape == (0, 0)
         r = fr.numerical_index(ident)
         assert (r.dim_ker, r.dim_coker, r.index) == (0, 0, 0)
         assert r.sigma_max == 1.0
@@ -267,8 +310,7 @@ def _sector_spectrum(op, monkeypatch):
     """
     monkeypatch.setattr(fr, "_ITER_CAP", 20000)
     monkeypatch.setattr(fr, "_ITER_RTOL", 1e-13)
-    sector, _ = fr._weighted_sector(op)
-    sig = fr._sector_triples(sector, 8, np.inf)[0]
+    sig = fr._sector_triples(fr._sector_block(op.grid), 8, np.inf)[0]
     return np.sort(np.concatenate([sig, np.ones(8)]))[:8]
 
 
@@ -322,7 +364,7 @@ class TestSector:
         # 40-digit reference instead; the values near 1 with the dense SVD.
         grid = fr.build_grid(8.0, N)
         op = fr.assemble_operator(which, grid)
-        sector, _ = fr._weighted_sector(op)
+        sector = _weighted_sector(op)
         assert not np.triu(sector, 1).any()
         kernel = _kernel_value_mp(sector.tobytes(), N)
         dense = np.linalg.svd(_full_weighted(which, grid),
@@ -342,7 +384,7 @@ class TestSector:
         grid = fr.build_grid(8.0, 64)
         op = fr.assemble_operator(which, grid)
         full = np.linalg.svd(_full_weighted(which, grid), compute_uv=False)
-        sector, _ = fr._weighted_sector(op)
+        sector = _weighted_sector(op)
         split = np.sort(np.concatenate([
             np.linalg.svd(sector, compute_uv=False), np.ones(64)]))[::-1]
         assert np.allclose(full, split, rtol=1e-12, atol=1e-13)
@@ -354,13 +396,13 @@ class TestSector:
         assert not np.any(np.triu(s1, 1))
 
     def test_exactly_singular_sector(self, monkeypatch):
-        # B = (I - t) / 2 makes the block t, strictly lower-triangular
-        g = fr.build_grid(8.0, 64)
-        t = np.tril(np.ones((64, 64)), -1)
-        monkeypatch.setattr(fr, "_volterra",
-                            lambda grid: 0.5 * (np.eye(64) - t))
-        op = fr.DiscreteOperator(grid=g, which=1)
-        assert np.array_equal(op.matrix, t)
+        # gauss = 1/2 on a unit kernel diagonal makes the block strictly
+        # lower-triangular
+        _patch_generators(monkeypatch, gauss=lambda grid: np.full(grid.N, 0.5),
+                          unit_diagonal=True)
+        op = fr.DiscreteOperator(grid=fr.build_grid(8.0, 64), which=1)
+        assert not np.triu(op.matrix).any()
+        assert np.count_nonzero(op.matrix) == 64 * 63 // 2
         with pytest.raises(fr.BadParams, match="exactly singular"):
             fr.numerical_index(op)
 
@@ -415,6 +457,7 @@ class TestStreamedSector:
 
     @pytest.mark.parametrize("which", (1, 2))
     def test_weighted_sector_bitwise_whole_matrix_formula(self, grid, which):
+        # the dense weighted reference of the tests below
         op = fr.assemble_operator(which, grid)
         n = grid.N
         a = _dense_reference(which, grid)
@@ -424,9 +467,7 @@ class TestStreamedSector:
         root = np.sqrt(grid.weights[:n])
         want *= root[:, None]
         want /= root[None, :]
-        sector, got_root = fr._weighted_sector(op)
-        assert np.array_equal(got_root, root)
-        assert sector.tobytes() == want.tobytes()
+        assert _weighted_sector(op).tobytes() == want.tobytes()
 
 
 class TestBlock:
@@ -463,22 +504,80 @@ def test_assemble_peak_memory(grid6):
 
 
 def test_index_peak_memory(grid6):
-    """numerical_index allocates one weighted copy of the deflated block
-    and O(N) vectors: no N x N temporary, no window kernel."""
+    """numerical_index allocates the diagonal blocks of the deflated block
+    and O(N) vectors: no k x k copy, no N x N temporary, no window
+    kernel."""
     op = fr.assemble_operator(1, grid6)
     n = grid6.N
-    k = fr._deflated_size(op.matrix)
+    k = fr._sector_block(grid6).shape[0]
     assert k < n
-    # 8 * _PROBE columns of the triangular solves and their QR, a few
+    # The solve's triangular blocks (k x _BLOCK) and the products' one
+    # Toeplitz block; 8 * _PROBE columns of the solves and their QR, a few
     # vectors of the padded window: 64 vectors of length 2N covers both.
-    bound = 8 * k * k + 64 * 8 * 2 * n
+    bound = 8 * k * fr._BLOCK + 8 * fr._BLOCK ** 2 + 64 * 8 * 2 * n
+    assert bound < 8 * k * k
     tracemalloc.start()
     try:
         fr.numerical_index(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "matrix" not in vars(op)
     assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
+
+
+class TestStructuredBlock:
+    """The block the index path applies and solves, built from its
+    generators, against the dense weighted copy of op.matrix: deflated
+    (k < N) on the ladder grids, undeflated (k = N) at L = 3, where
+    exp(-x^2/2) stays above 1e-88, and cut into short blocks at N = 64."""
+
+    CASES = ((8.0, 64, 256), (8.0, 64, 5), (8.0, 64, 16), (3.0, 64, 7),
+             (6.0, 1024, 256), (8.0, 2048, 256))
+
+    @pytest.fixture(scope="class", params=CASES,
+                    ids=lambda c: "L{:g}-N{}-B{}".format(*c))
+    def case(self, request):
+        L, N, rows = request.param
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fr, "_BLOCK", rows)
+            grid = fr.build_grid(L, N)
+            block = fr._sector_block(grid)
+        op = fr.assemble_operator(1, grid)
+        return op, block
+
+    def test_deflated_size_from_generators(self, case):
+        op, block = case
+        k = block.shape[0]
+        assert k == _dense_deflated_size(op.matrix)
+        assert (k == op.grid.N) == (op.grid.L == 3.0)
+
+    def test_products_and_solves_match_dense(self, case):
+        op, block = case
+        k = block.shape[0]
+        a = _weighted_sector(op, k)
+        x = np.random.default_rng(3).standard_normal((k, 3))
+
+        def close(got, want, rtol):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+        for v in (x, x[:, 0]):
+            close(block.matvec(v), a @ v, 1e-13)
+            close(block.rmatvec(v), a.T @ v, 1e-13)
+            close(block.solve(v), scipy.linalg.solve_triangular(
+                a, v, lower=True), 1e-12)
+            close(block.rsolve(v), scipy.linalg.solve_triangular(
+                a, v, lower=True, trans="T"), 1e-12)
+
+    def test_solve_factors_are_the_dense_diagonal_blocks(self, case):
+        op, block = case
+        a = 0
+        for factor in block._factors:
+            e = a + factor.shape[0]
+            assert factor.tobytes() == op.matrix[a:e, a:e].tobytes()
+            a = e
+        assert a == block.shape[0]
 
 
 def _dense_window(grid):
@@ -531,7 +630,8 @@ class TestDeflation:
     def test_unit_rows_are_where_gauss_underflows(self, L, N, unit):
         grid = fr.build_grid(L, N)
         op = fr.assemble_operator(1, grid)
-        k = fr._deflated_size(op.matrix)
+        k = fr._sector_block(grid).shape[0]
+        assert k == _dense_deflated_size(op.matrix)
         assert N - k == unit
         assert np.array_equal(np.flatnonzero(fr._gauss(grid) == 0.0),
                               np.arange(k, N))
@@ -539,10 +639,30 @@ class TestDeflation:
         assert np.array_equal(tail[:, k:], np.eye(N - k))
         assert not np.any(tail[:, :k])
 
+    @pytest.mark.parametrize("last,unit", ((5e-324, True), (1e-320, False),
+                                           (1e-310, False), (0.0, True)))
+    def test_subnormal_row_factor_matches_dense_scan(self, last, unit,
+                                                     monkeypatch):
+        # gauss[-1] = 5e-324 rounds every product left of the diagonal to
+        # 0, so that row is a unit row with a nonzero factor; larger
+        # subnormals leave some products nonzero
+        gauss = fr._gauss
+
+        def patched(g):
+            out = gauss(g)
+            out[-1] = last
+            return out
+
+        _patch_generators(monkeypatch, gauss=patched)
+        op = fr.DiscreteOperator(grid=fr.build_grid(8.0, 64), which=1)
+        k = fr._sector_block(op.grid).shape[0]
+        assert k == _dense_deflated_size(op.matrix)
+        assert (k < 64) == unit
+
     @pytest.mark.parametrize("which", (1, 2))
     def test_vectors_vanish_on_deflated_rows(self, grid6, which):
         op = fr.assemble_operator(which, grid6)
-        k = fr._deflated_size(op.matrix)
+        k = fr._sector_block(grid6).shape[0]
         n = grid6.N
         r = fr.numerical_index(op)
         assert len(r.ker_vectors) == len(r.coker_vectors) == 1
@@ -555,21 +675,22 @@ class TestDeflation:
                                                      monkeypatch):
         grid = fr.build_grid(8.0, 64)
         if perturb:
-            volterra = fr._volterra
+            gauss = fr._gauss
 
             def perturbed(g):
-                # one entry left of the diagonal: the last row is no unit
-                # row; the block holds -2 b = 1e-3 there
-                b = volterra(g)
-                b[-1, 5] = -5e-4
-                return b
+                # a row factor where exp(-x^2/2) underflows: the last row
+                # is no unit row
+                out = gauss(g)
+                out[-1] = 5e-4
+                return out
 
-            monkeypatch.setattr(fr, "_volterra", perturbed)
+            _patch_generators(monkeypatch, gauss=perturbed)
         op = fr.DiscreteOperator(grid=grid, which=1)
-        k = fr._deflated_size(op.matrix)
+        k = fr._sector_block(grid).shape[0]
+        assert k == _dense_deflated_size(op.matrix)
         assert (k == 64) if perturb else (k < 64)
-        assert op.matrix[-1, 5] == (1e-3 if perturb else 0.0)
-        full, _ = fr._weighted_sector(op)
+        assert (op.matrix[-1, 5] != 0.0) == perturb
+        full = _weighted_sector(op)
         dense = np.sort(np.concatenate([
             np.linalg.svd(full, compute_uv=False), np.ones(64)]))
         r = fr.numerical_index(op)
@@ -584,12 +705,13 @@ class TestDeflation:
 
     def test_sigma_max_cap_fails_closed(self, monkeypatch):
         op = fr.assemble_operator(1, fr.build_grid(8.0, 64))
-        sector, _ = fr._weighted_sector(op, fr._deflated_size(op.matrix))
+        block = fr._sector_block(op.grid)
+        sector = _weighted_sector(op, block.shape[0])
         want = np.linalg.svd(sector, compute_uv=False)[0]
-        assert np.isclose(fr._sigma_max(sector), want, rtol=1e-9, atol=0.0)
+        assert np.isclose(fr._sigma_max(block), want, rtol=1e-9, atol=0.0)
         monkeypatch.setattr(fr, "_SIGMA_CAP", 2)
         with pytest.raises(fr.NotConverged, match="sigma_max") as info:
-            fr._sigma_max(sector)
+            fr._sigma_max(block)
         assert info.value.iterations == 2
         with pytest.raises(fr.NotConverged, match="sigma_max"):
             fr.numerical_index(op)
@@ -603,13 +725,19 @@ class TestDeflation:
         monkeypatch.setattr(fr, "_sector_triples", no_iteration)
         # unit rows after the zero stay deflated; the zero is in the
         # leading block either way.  b = 1/2 there makes (1 - b) - b = 0.
-        b = np.zeros((64, 64))
-        b[row, row] = 0.5
-        monkeypatch.setattr(fr, "_volterra", lambda grid: b.copy())
+        def gauss(grid):
+            out = np.zeros(grid.N)
+            out[row] = 0.5
+            return out
+
+        _patch_generators(monkeypatch, gauss=gauss, unit_diagonal=True)
         op = fr.DiscreteOperator(grid=fr.build_grid(8.0, 64), which=1)
         a = np.eye(64)
         a[row, row] = 0.0
-        assert np.array_equal(op.matrix, a)
+        assert np.array_equal(np.delete(op.matrix, row, 0),
+                              np.delete(a, row, 0))
+        assert op.matrix[row, row] == 0.0
+        assert np.all(op.matrix[row, :row] != 0.0)
         with pytest.raises(fr.BadParams,
                            match=f"exactly singular.*row {row}"):
             fr.numerical_index(op)
@@ -675,11 +803,14 @@ class TestSharedSolve:
         assert "matrix" not in vars(op2)
         assert built == []
 
-    def test_miss_builds_the_block_once(self, grid, monkeypatch):
+    def test_miss_builds_no_dense_block(self, grid, monkeypatch):
         built = _count_blocks(monkeypatch)
         op = fr.assemble_operator(1, grid)
+        r = fr.numerical_index(op)
+        assert (r.dim_ker, r.dim_coker) == (1, 0)
+        assert "matrix" not in vars(op)
         assert built == []
-        fr.numerical_index(op)
+        # the dense reference is still built once, on first read
         assert op.matrix is vars(op)["matrix"]
         assert built == [64]
 
@@ -708,7 +839,7 @@ class TestSharedSolve:
 
     @pytest.mark.parametrize("name,value", (
         ("_PROBE", 7), ("_ITER_RTOL", 1e-11), ("_ITER_CAP", 59),
-        ("_SIGMA_CAP", 39)))
+        ("_SIGMA_CAP", 39), ("_BLOCK", 16)))
     def test_constants_are_read_at_call_time(self, grid, name, value,
                                              monkeypatch):
         op = fr.assemble_operator(1, grid)
@@ -752,7 +883,7 @@ class TestSharedSolve:
                                                        monkeypatch):
         op1 = fr.assemble_operator(1, grid6)
         op2 = fr.assemble_operator(2, grid6)
-        k = fr._deflated_size(op1.matrix)
+        k = fr._sector_block(grid6).shape[0]
         calls = _count_solves(monkeypatch)
         fr.numerical_index(op1)
         tracemalloc.start()

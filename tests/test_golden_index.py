@@ -3,12 +3,12 @@
 For both operators on the (6,1024) and (8,2048) rungs the test pins the
 sha256 of ``IndexResult.to_json()`` (keys sorted), the sha256 of the raw
 bytes of the ker vectors followed by the coker vectors, and the
-iteration count.  They were re-pinned when the index began to deflate
-the block's exact unit rows, stop the sigma_max power iteration once it
-settles and apply the padded window from its Toeplitz generators: the
-solves then run on another start and another block size, so last bits
-moved (every near-zero singular value by at most 1 ulp, the same
-(ker, coker) and gap verdicts).  Any other change must reproduce them.
+iteration count.  They were last re-pinned when the index began to
+apply and solve the parity block by blocks from its generators (the
+structured _Block) instead of a dense weighted copy: the solves sum in
+another order, so last bits moved (every near-zero singular value by at
+most 3 ulp, the same (ker, coker), gap verdicts and step counts).  Any
+other change must reproduce them.
 
 The digests are taken in a child process with one BLAS thread, so that
 the golden test pins the arithmetic alone; that the data do not depend
@@ -24,28 +24,30 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import orbiton
+from orbiton import fredholm as fr
 
 INDEX_DIGESTS = {
     "6.0,1024,1": [
-        "435d36306a027676bb69a1b77e8c3130e352b2c833b50fe1cd1f7ff1b1638671",
-        "4f7d6fd70e996760649280ae35b15cec42a344173314e5986911a05009a6fa13",
+        "f561e84a8031f7a00bcf6d4b3c9f6fe817a3cbdc47582d0915604ca3054f452c",
+        "1838f1c657b41235f3ac9bf19b558ebd5d0d049f78ab6d9e3c131c5b21959796",
         26],
     "6.0,1024,2": [
-        "435d36306a027676bb69a1b77e8c3130e352b2c833b50fe1cd1f7ff1b1638671",
-        "346bb27924a369e84bc6855851e82605f5180cfbb6120fa69a804ece49518f42",
+        "f561e84a8031f7a00bcf6d4b3c9f6fe817a3cbdc47582d0915604ca3054f452c",
+        "634a36a8dbeb53d61c67a251e1f44be28c79fa3ff2d2096afe85a65ce1e3efe3",
         26],
     "8.0,2048,1": [
-        "81be4d2caa37bef7df17c0f6ee0858df75efe71e0f2c59d54b6d82b4967720d7",
-        "41facac18b11dcdc0be5cbafacd4169fc6835d197bcfbd618d9fa87b960b5a9b",
+        "7706c9d9ffdb9b0aba91c28f0b18b962675d768a6a41dbd2bfda7a4ae24b218f",
+        "987ad52d10b78ea2b6a6c089b27c358ee751d73f0a1e7e6f0a3c1051e2e854d9",
         27],
     "8.0,2048,2": [
-        "81be4d2caa37bef7df17c0f6ee0858df75efe71e0f2c59d54b6d82b4967720d7",
-        "c46c33ec1c21211e5955c5da8611f34442e3031aefc404a12bbee714e927b58c",
+        "7706c9d9ffdb9b0aba91c28f0b18b962675d768a6a41dbd2bfda7a4ae24b218f",
+        "bf5a1b9d2d5c73b53a8bedffb17bcb816a6f6db95875d262c393761ce42bfd55",
         27],
 }
 
@@ -55,7 +57,7 @@ _CHILD = """
 import hashlib, json
 from orbiton import fredholm as fr
 out = {}
-for L, N in ((6.0, 1024), (8.0, 2048)):
+for L, N in RUNGS:
     grid = fr.build_grid(L, N)
     for which in (1, 2):
         r = fr.numerical_index(fr.assemble_operator(which, grid))
@@ -68,7 +70,8 @@ print(json.dumps(out))
 """
 
 
-def _child_index(threads: int) -> dict:
+def _child_index(threads: int,
+                 rungs: tuple = ((6.0, 1024), (8.0, 2048))) -> dict:
     src = str(Path(orbiton.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -76,7 +79,8 @@ def _child_index(threads: int) -> dict:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+    code = _CHILD.replace("RUNGS", repr(rungs))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           stdout=subprocess.PIPE, text=True, timeout=300,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -98,3 +102,30 @@ def test_index_data_independent_of_blas_threads(one_thread):
     # Reports and vectors byte for byte, not within a tolerance: a
     # threaded BLAS product that sums in another order shows up here.
     assert _child_index(2) == one_thread
+
+
+def test_window_above_10000_points_independent_of_blas_threads(monkeypatch):
+    # At (8, 8192) the padded stability window has 10240 points, above the
+    # 10000 where OpenBLAS splits a ddot over threads; no sum of the index
+    # path goes through such a call.
+    rung = ((8.0, 8192),)
+    assert _child_index(1, rung) == _child_index(2, rung)
+    # A miss at this rung never forms the dense block (8 N^2 bytes, 512
+    # MiB): no _volterra call, no cached matrix, and a tracemalloc peak
+    # under 32 MiB.
+    grid = fr.build_grid(8.0, 8192)
+    assert fr._Window(grid).grid.N == 10240
+    built = []
+    monkeypatch.setattr(fr, "_volterra", built.append)
+    monkeypatch.setattr(fr, "_last_solve", None)
+    op = fr.assemble_operator(1, grid)
+    tracemalloc.start()
+    try:
+        r = fr.numerical_index(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.dim_ker, r.dim_coker) == (1, 0)
+    assert "matrix" not in vars(op)
+    assert built == []
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
