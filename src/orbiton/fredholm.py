@@ -35,8 +35,9 @@ path never forms B: _Block applies and solves I - 2 B from these
 generators by blocks of rows, a dense diagonal block each and two
 running sums carrying the rest, in O(N) storage and work per vector.
 The same _Block applies the operator on the enlarged window of the
-stability test.  DiscreteOperator.matrix, the dense block, is a
-reference for tests and is built only when read.
+stability test.  Every dense piece of I - 2 B comes from one builder,
+_dense_block: _Block's diagonal blocks, and DiscreteOperator.matrix, the
+whole N x N block, a reference for tests built only when read.
 
 Since S_1 and S_2 have the same block, they share one sector solve: the
 deflated size, sigma_max and the smallest singular triples of the block
@@ -94,7 +95,6 @@ STABILITY_TOL = 1e-4
 GAP_MIN = 100.0
 NEAR_ZERO_FACTOR = 1e-3
 PARITY_TOL = 1e-6
-SLOPE_TOL = 0.05
 WINDOW_TOL = 0.05
 
 _PROBE = 8
@@ -193,13 +193,25 @@ def build_grid(L: float, N: int) -> LogGrid:
 
 
 def _kernel_generators(n: int, h: float):
-    """Toeplitz weights and first four columns of the shift kernel.
+    """Generators of the shift kernel K: int_0^inf exp(-2u) f(|x| e^-u) du
+    on one half-line as a matrix.
 
-    Returns p, with p[d] the weight of u = d h away from the Simpson end
-    nodes (h/3 for d = 0, then 4h/3 and 2h/3 alternating, times
-    exp(-2u)), and head, the kernel's columns 0-3 (fewer when n < 4) as
-    an n x 4 array: p[k - c] below the diagonal, overwritten where the
-    rule's far end lands (see _shift_kernel).
+    Row k integrates over the on-grid range u in [0, kh] with positive
+    weights: composite Simpson, a 3/8 block absorbing an odd panel count,
+    the trapezoid for a single panel; fourth order for k >= 2.  The
+    remaining tail int_{kh}^inf exp(-2u) f du is charged to the innermost
+    sample with its exact weight exp(-2kh)/2 (constant extrapolation below
+    the cutoff); for kernel-class functions, |f| ~ x^2 near 0, the induced
+    error is below 1e-7 relative once L >= 6.
+
+    Entry (k, c) weights the node u = (k - c) h.  Away from the Simpson
+    end nodes that weight is p[k - c] (h/3 for d = 0, then 4h/3 and 2h/3
+    alternating, times exp(-2u)), so K is lower-triangular Toeplitz in p.
+    The rule's far end lands in columns 0-3 only: column 0 for every row
+    (end weight plus the tail), columns 1-3 for the 3/8 block of odd k,
+    and the diagonal of rows 1 and 3.  head holds those columns (fewer
+    when n < 4), each entry computed with the expression the per-row rule
+    uses, so K is that rule's value bit for bit.
     """
     decay = np.exp(-2.0 * h * np.arange(n))
     inner = np.full(n, 2.0 * h / 3.0)
@@ -229,50 +241,43 @@ def _kernel_generators(n: int, h: float):
     return p, head
 
 
-def _shift_kernel(n: int, h: float) -> np.ndarray:
-    """Matrix form of int_0^inf exp(-2u) f(|x| e^-u) du on one half-line.
+def _toeplitz(p: np.ndarray, n: int) -> np.ndarray:
+    """The n x n lower-triangular Toeplitz matrix with p[i - j] at (i, j)."""
+    # Row i is window n - 1 - i of [p[n-1], ..., p[0], 0, ..., 0]; the
+    # last slice only matters at n = 0, where there is one empty window.
+    padded = np.zeros(max(2 * n - 1, 0))
+    padded[:n] = p[:n][::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    return windows[::-1][:n].copy()
 
-    Row k integrates over the on-grid range u in [0, kh] with positive
-    weights: composite Simpson, a 3/8 block absorbing an odd panel count,
-    the trapezoid for a single panel; fourth order for k >= 2.  The
-    remaining tail int_{kh}^inf exp(-2u) f du is charged to the innermost
-    sample with its exact weight exp(-2kh)/2 (constant extrapolation below
-    the cutoff); for kernel-class functions, |f| ~ x^2 near 0, the induced
-    error is below 1e-7 relative once L >= 6.
 
-    Entry (k, c) weights the node u = (k - c) h.  Away from the Simpson
-    end nodes that weight depends on k - c alone (h/3 on the diagonal,
-    then 4h/3 and 2h/3 alternating), so the matrix is built as one
-    lower-triangular Toeplitz copy of those weights times exp(-2u).  The
-    rule's far end lands in columns 0-3 only: column 0 for every row
-    (end weight plus the tail), columns 1-3 for the 3/8 block of odd k,
-    and the diagonal of rows 1 and 3.  Those columns are then overwritten
-    with the head of _kernel_generators, each entry computed with the
-    expression the per-row rule uses, so every entry is that rule's value
-    bit for bit.
+def _dense_block(gauss: np.ndarray, p: np.ndarray,
+                 head: Optional[np.ndarray] = None) -> np.ndarray:
+    """The dense diagonal block I - 2 diag(gauss) K on the rows whose row
+    factors gauss holds; lower-triangular.
+
+    K is the _toeplitz copy of p, with head (for a block that starts at
+    row 0) over its first columns.  The entries are formed as -2 b off
+    the diagonal and (1 - b) - b on it, b = gauss K: the sums A11 + s A12
+    of the 2N x 2N matrix I - [[B, s B], [s B, B]] bit for bit.  No other
+    function forms a dense entry of the parity block.
     """
-    p, head = _kernel_generators(n, h)
-    # Row k of the Toeplitz matrix reads window n - 1 - k of
-    # [p[n-1], ..., p[0], 0, ..., 0]: p[k - c] for c <= k, 0 above.
-    padded = np.concatenate([p[::-1], np.zeros(n - 1)])
-    t = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
-    t[:, :head.shape[1]] = head
-    return t
+    m = _toeplitz(p, gauss.size)
+    if head is not None:
+        m[:, :head.shape[1]] = head
+    m *= gauss[:, None]
+    b = np.diagonal(m).copy()
+    m *= -2.0
+    np.fill_diagonal(m, (1.0 - b) - b)
+    return m
 
 
 def _gauss(grid: LogGrid) -> np.ndarray:
     """Row factor 2 exp(-x^2/2) of the half-line block, x = e^s."""
-    x = np.exp(grid.s)
-    return 2.0 * np.exp(-0.5 * x * x)
-
-
-def _volterra(grid: LogGrid) -> np.ndarray:
-    """Half-line block 2 exp(-x^2/2) * shift kernel; lower-triangular."""
     # Rows with x beyond e^L would carry exp(-x^2/2) < 1e-14 once L >= 3,
     # so cutting the domain there only perturbs identity rows.
-    base = _shift_kernel(grid.N, grid.h)
-    base *= _gauss(grid)[:, None]
-    return base
+    x = np.exp(grid.s)
+    return 2.0 * np.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,16 +306,12 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         """The N x N parity block I - 2 B, built from the grid on first read.
 
-        A dense reference: no index path reads it.  B is the half-line
-        Volterra block, lower-triangular by construction, and the entries
-        are formed as -2 b off the diagonal and (1 - b) - b on it, the
-        sums A11 + s A12 of the 2N x 2N matrix I - [[B, s B], [s B, B]]
-        bit for bit.  The block is read-only.
+        A dense reference: no index path reads it.  B = diag(gauss) K is
+        the half-line Volterra block, lower-triangular by construction,
+        formed by _dense_block on the whole grid.  The block is read-only.
         """
-        m = _volterra(self.grid)
-        b = np.diagonal(m).copy()
-        m *= -2.0
-        m[np.diag_indices_from(m)] = (1.0 - b) - b
+        p, head = _kernel_generators(self.grid.N, self.grid.h)
+        m = _dense_block(_gauss(self.grid), p, head)
         m.setflags(write=False)
         return m
 
@@ -349,12 +350,12 @@ def parity_check(kernel_vectors: Sequence[np.ndarray],
         if v.ndim != 1 or v.size % 2:
             raise BadParams("kernel vectors must be flat with even length")
         n = v.size // 2
-        scale = float(np.linalg.norm(v))
+        scale = _norm(v)
         if scale == 0.0:
             out.append(ParityCheck(ok=True, residual=0.0, degenerate=True))
             continue
         sign = 1.0 if which == 1 else -1.0
-        residual = float(np.linalg.norm(v[:n] - sign * v[n:]) / scale)
+        residual = _norm(v[:n] - sign * v[n:]) / scale
         out.append(ParityCheck(ok=residual < PARITY_TOL, residual=residual))
     return out
 
@@ -453,10 +454,12 @@ class _Block:
     work per right-hand side.  R is diag(root), the square root of the
     weights, applied as row and column scalings (R = I when root is None).
 
-    Products share one _BLOCK x _BLOCK Toeplitz block; the solves form
-    the triangular diagonal blocks of I - 2 diag(gauss) K on first use,
-    entry for entry as DiscreteOperator.matrix holds them.  Every method
-    takes a (k,) or (k, m) array.
+    Products share one _BLOCK x _BLOCK Toeplitz block, the _toeplitz
+    copy that _dense_block starts from; the solves form the triangular
+    diagonal blocks of I - 2 diag(gauss) K on first use with _dense_block,
+    as DiscreteOperator.matrix forms the whole block, so they are that
+    matrix's diagonal blocks by construction (the tests still check it).
+    Every method takes a (k,) or (k, m) array.
     """
 
     def __init__(self, gauss: np.ndarray, p: np.ndarray, head: np.ndarray,
@@ -467,11 +470,11 @@ class _Block:
         self.head = head[:k, :min(k, head.shape[1])]
         self.root = None if root is None else root[:, None]
         self.rows = _BLOCK
-        d = np.arange(min(_BLOCK, k))
-        self.toeplitz = np.tril(p[np.abs(d[:, None] - d)])
+        self.p = p
+        self.toeplitz = _toeplitz(p, min(_BLOCK, k))
         # powers[t] = (q^t, (-q)^t), scaled by coef = (h, -h/3) where a
         # sum meets p.
-        decay = np.exp(-2.0 * h * np.arange(d.size + 1))
+        decay = np.exp(-2.0 * h * np.arange(self.toeplitz.shape[0] + 1))
         self.powers = np.stack([decay, decay], axis=1)
         self.powers[1::2, 1] *= -1.0
         self.coef = np.array([[h], [-h / 3.0]])
@@ -482,18 +485,9 @@ class _Block:
     @functools.cached_property
     def _factors(self) -> list:
         """The diagonal blocks of I - 2 diag(gauss) K, lower-triangular."""
-        out = []
-        for a in self._starts():
-            e = min(a + self.rows, self.shape[0])
-            kern = self.toeplitz[:e - a, :e - a].copy()
-            if a == 0:
-                kern[:, :self.head.shape[1]] = self.head[:e]
-            kern *= self.gauss[a:e]
-            b = np.diagonal(kern).copy()
-            kern *= -2.0
-            kern[np.diag_indices_from(kern)] = (1.0 - b) - b
-            out.append(kern)
-        return out
+        return [_dense_block(self.gauss[a:a + self.rows, 0], self.p,
+                             None if a else self.head[:self.rows])
+                for a in self._starts()]
 
     def _sweep(self, state: np.ndarray, n: int, forward: bool):
         """The far field on a block of n rows, and the weights that move
@@ -977,16 +971,17 @@ def kernel_cosine(grid: LogGrid, vector: np.ndarray,
     """Weighted cosine between a kernel vector and the oracle profile.
 
     The vector is first projected onto its parity sector (even for
-    which=1, odd for which=2) and reduced to the positive half.
+    which=1, odd for which=2) and reduced to the positive half.  The sums
+    are pairwise, with no BLAS call, as in _norm.
     """
     v = np.asarray(vector, dtype=float)
     n = grid.N
     sign = 1.0 if which == 1 else -1.0
     profile = 0.5 * (v[:n] + sign * v[n:])
     w = grid.weights[:n]
-    num = abs(float(np.dot(w * profile, oracle_samples)))
-    den = (math.sqrt(float(np.dot(w * profile, profile))) *
-           math.sqrt(float(np.dot(w * oracle_samples, oracle_samples))))
+    num = abs(float(np.sum(w * profile * oracle_samples)))
+    den = (math.sqrt(float(np.sum(w * profile * profile))) *
+           math.sqrt(float(np.sum(w * oracle_samples * oracle_samples))))
     if den == 0.0:
         return 0.0
     return num / den

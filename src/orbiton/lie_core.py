@@ -164,23 +164,6 @@ def bracket(g: LieAlgebra, u, v) -> np.ndarray:
     return np.einsum("i,j,ijk->k", u, v, g.c)
 
 
-_CHANGE_BASIS = "ia,jb,ijk,mk->abm"
-
-
-@functools.lru_cache(maxsize=None)
-def _change_basis_path(dim: int) -> tuple:
-    """Greedy contraction order of the change_basis einsum.
-
-    The greedy search reads only the operand shapes, so one order serves
-    every call of a dimension.  The search costs about two thirds as much
-    as the contraction it plans, so it runs once per dimension.
-    """
-    m = np.zeros((dim, dim))
-    path, _ = np.einsum_path(_CHANGE_BASIS, m, m, np.zeros((dim,) * 3), m,
-                             optimize="greedy")
-    return tuple(path)
-
-
 def change_basis(g: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     """Structure constants in the basis whose j-th vector is column j of p.
 
@@ -192,8 +175,11 @@ def change_basis(g: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     if p.shape != (g.dim, g.dim):
         raise DimensionMismatch(f"basis matrix shape {p.shape} != ({g.dim},{g.dim})")
     pinv = np.linalg.inv(p)
-    c_new = np.einsum(_CHANGE_BASIS, p, p, g.c, pinv,
-                      optimize=_change_basis_path(g.dim))
+    # c_new[a, b, m] = sum p[i, a] p[j, b] c[i, j, k] pinv[m, k], contracted
+    # over i, then j, then k: the order is part of the result's last bits.
+    c_new = np.tensordot(p, g.c, ([0], [0]))
+    c_new = np.tensordot(p, c_new, ([0], [1]))
+    c_new = np.tensordot(pinv, c_new, ([1], [2])).transpose(2, 1, 0)
     c_new = 0.5 * (c_new - np.swapaxes(c_new, 0, 1))
     return LieAlgebra(dim=g.dim, c=c_new)
 

@@ -12,6 +12,8 @@ import scipy.linalg
 
 from orbiton import fredholm as fr
 
+from conftest import child_json
+
 
 @pytest.fixture(autouse=True)
 def _empty_solve_memo(monkeypatch):
@@ -42,10 +44,16 @@ _B = {
 }
 
 
+def _volterra_reference(grid):
+    """The half-line block V = diag(gauss) K, K from the per-row rule."""
+    return fr._gauss(grid)[:, None] * _shift_kernel_reference(grid.N,
+                                                              grid.h)
+
+
 def _dense_reference(which, grid):
     """The 2N x 2N operator I - kron(B_i, V), for N <= 1024 only."""
     assert grid.N <= 1024
-    a = -np.kron(_B[which], fr._volterra(grid))
+    a = -np.kron(_B[which], _volterra_reference(grid))
     a[np.diag_indices_from(a)] += 1.0
     return a
 
@@ -201,18 +209,33 @@ def _shift_kernel_reference(n, h):
     return t
 
 
+def _assert_dense_block_is_reference(n, h):
+    """_dense_block from the generators against I - 2 diag(gauss) K with K
+    from the per-row rule and the entries formed as -2 b off the diagonal
+    and (1 - b) - b on it.  At gauss = 1/2 the off-diagonal entries are
+    -K exactly; the second row factor varies from row to row."""
+    p, head = fr._kernel_generators(n, h)
+    kernel = _shift_kernel_reference(n, h)
+    rng = np.random.default_rng(n)
+    for gauss in (np.full(n, 0.5), rng.uniform(0.5, 2.0, n)):
+        b = gauss[:, None] * kernel
+        want = -2.0 * b
+        d = np.diagonal(b)
+        want[np.diag_indices(n)] = (1.0 - d) - d
+        got = fr._dense_block(gauss, p, head)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestShiftKernel:
     @pytest.mark.parametrize("h", (0.1, 1.0 / 3.0, fr.MAX_LOG_STEP))
     def test_small_sizes_bitwise_equal_reference(self, h):
         for n in range(2, 41):
-            got = fr._shift_kernel(n, h)
-            assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
+            _assert_dense_block_is_reference(n, h)
 
     @pytest.mark.parametrize("n,h",
                              ((1024, 12.0 / 1023), (2560, 16.0 / 2047)))
     def test_ladder_sizes_bitwise_equal_reference(self, n, h):
-        got = fr._shift_kernel(n, h)
-        assert got.tobytes() == _shift_kernel_reference(n, h).tobytes()
+        _assert_dense_block_is_reference(n, h)
 
 
 class TestOracle:
@@ -299,6 +322,28 @@ class TestParity:
         assert fr.parity_check([even], 1)[0].ok
         assert not fr.parity_check([odd], 1)[0].ok
         assert fr.parity_check([odd], 2)[0].ok
+
+    def test_checks_independent_of_blas_threads(self):
+        # At N = 16384 every sum of both checks runs over more than the
+        # 10000 elements where OpenBLAS splits a ddot over threads; the
+        # values must be byte for byte the same under 1 and 2 threads.
+        assert child_json(_CHECKS_CHILD, 1) == child_json(_CHECKS_CHILD, 2)
+
+
+# Prints kernel_cosine and the parity residuals of one seeded vector at
+# N = 16384, for both operators.
+_CHECKS_CHILD = """
+import json
+import numpy as np
+from orbiton import fredholm as fr
+grid = fr.build_grid(8.0, 16384)
+rng = np.random.default_rng(16384)
+v = rng.standard_normal(2 * grid.N)
+samples = rng.standard_normal(grid.N)
+print(json.dumps([[fr.kernel_cosine(grid, v, samples, which),
+                   fr.parity_check([v], which)[0].residual]
+                  for which in (1, 2)]))
+"""
 
 
 def _sector_spectrum(op, monkeypatch):
@@ -583,7 +628,7 @@ class TestStructuredBlock:
 def _dense_window(grid):
     """The padded window's I - 2 B as a matrix, and its weights."""
     window = fr._Window(grid)
-    a = -2.0 * fr._volterra(window.grid)
+    a = -2.0 * _volterra_reference(window.grid)
     a[np.diag_indices_from(a)] += 1.0
     return window, a, window.weights
 
@@ -756,16 +801,18 @@ def _count_solves(monkeypatch) -> list:
     return calls
 
 
-def _count_blocks(monkeypatch) -> list:
-    """Record the grid size of each block built."""
+def _count_blocks(monkeypatch, n) -> list:
+    """Record the size of each full-size (n x n) dense block built; the
+    blocked solve's diagonal blocks are smaller on a deflated grid."""
     calls = []
-    inner = fr._volterra
+    inner = fr._dense_block
 
-    def counted(grid):
-        calls.append(grid.N)
-        return inner(grid)
+    def counted(gauss, *args):
+        if gauss.size == n:
+            calls.append(n)
+        return inner(gauss, *args)
 
-    monkeypatch.setattr(fr, "_volterra", counted)
+    monkeypatch.setattr(fr, "_dense_block", counted)
     return calls
 
 
@@ -796,7 +843,7 @@ class TestSharedSolve:
 
     def test_hit_builds_no_block(self, grid, monkeypatch):
         fr.numerical_index(fr.assemble_operator(1, grid))
-        built = _count_blocks(monkeypatch)
+        built = _count_blocks(monkeypatch, grid.N)
         op2 = fr.assemble_operator(2, fr.build_grid(8.0, 64))
         r = fr.numerical_index(op2)
         assert (r.dim_ker, r.dim_coker) == (1, 0)
@@ -804,7 +851,7 @@ class TestSharedSolve:
         assert built == []
 
     def test_miss_builds_no_dense_block(self, grid, monkeypatch):
-        built = _count_blocks(monkeypatch)
+        built = _count_blocks(monkeypatch, grid.N)
         op = fr.assemble_operator(1, grid)
         r = fr.numerical_index(op)
         assert (r.dim_ker, r.dim_coker) == (1, 0)

@@ -20,17 +20,13 @@ bits.
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import orbiton
 from orbiton import fredholm as fr
+
+from conftest import child_json
 
 INDEX_DIGESTS = {
     "6.0,1024,1": [
@@ -72,18 +68,7 @@ print(json.dumps(out))
 
 def _child_index(threads: int,
                  rungs: tuple = ((6.0, 1024), (8.0, 2048))) -> dict:
-    src = str(Path(orbiton.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        env[var] = str(threads)
-    code = _CHILD.replace("RUNGS", repr(rungs))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          stdout=subprocess.PIPE, text=True, timeout=300,
-                          check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return child_json(_CHILD.replace("RUNGS", repr(rungs)), threads)
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +96,19 @@ def test_window_above_10000_points_independent_of_blas_threads(monkeypatch):
     rung = ((8.0, 8192),)
     assert _child_index(1, rung) == _child_index(2, rung)
     # A miss at this rung never forms the dense block (8 N^2 bytes, 512
-    # MiB): no _volterra call, no cached matrix, and a tracemalloc peak
-    # under 32 MiB.
+    # MiB): no N x N _dense_block call, no cached matrix, and a
+    # tracemalloc peak under 32 MiB.
     grid = fr.build_grid(8.0, 8192)
     assert fr._Window(grid).grid.N == 10240
     built = []
-    monkeypatch.setattr(fr, "_volterra", built.append)
+    dense_block = fr._dense_block
+
+    def counted(gauss, *args):
+        if gauss.size == grid.N:
+            built.append(gauss.size)
+        return dense_block(gauss, *args)
+
+    monkeypatch.setattr(fr, "_dense_block", counted)
     monkeypatch.setattr(fr, "_last_solve", None)
     op = fr.assemble_operator(1, grid)
     tracemalloc.start()

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from orbiton import classify, cli, families, lie_core as lc
 
-from conftest import family_fixtures, random_gl
+from conftest import family_fixtures, gl_at_cond, random_gl
 
 
 def _set_bracket(c, i, j, k, v):
@@ -291,11 +291,14 @@ class TestChangeBasis:
 
     @pytest.mark.parametrize("name", ("aff-r", "h3", "g442"))
     def test_cached_path_bitwise_equal_fresh_search(self, name):
-        # Reference: the same einsum planning its contraction on every call.
+        # Reference: the einsum planning its contraction on every call, on
+        # bases at cond <= 1e3 and at exactly 1e4 and 1e5.
         g = families.builtin(name)
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            p = random_gl(rng, n=g.dim)
+        bases = [random_gl(rng, n=g.dim) for _ in range(50)]
+        bases += [gl_at_cond(rng, cond, n=g.dim)
+                  for cond in (1e4, 1e5) for _ in range(50)]
+        for p in bases:
             want = np.einsum("ia,jb,ijk,mk->abm", p, p, g.c,
                              np.linalg.inv(p), optimize=True)
             want = 0.5 * (want - np.swapaxes(want, 0, 1))

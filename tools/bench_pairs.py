@@ -30,6 +30,10 @@ tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
 Their wall times, exit codes and last output lines (the pytest summary,
 the report's status line) go under ``suites``.
 
+The file also records ``net_lines``: for ``src`` and ``tests``, the
+lines added minus the lines deleted from parent to change, from
+``git diff --numstat``.
+
 Every workload runs with the same seeds, and the output file is written
 afresh from the runs of this invocation only.
 """
@@ -94,6 +98,20 @@ def _parse(argv):
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
+
+
+def _net_lines(parent: str, change: str) -> dict:
+    """Added minus deleted lines per directory; binary files count 0."""
+    out = {}
+    for path in ("src", "tests"):
+        net = 0
+        for line in _git("diff", "--numstat", parent, change, "--",
+                         path).splitlines():
+            added, deleted, _ = line.split("\t", 2)
+            if added != "-":
+                net += int(added) - int(deleted)
+        out[path] = net
+    return out
 
 
 def _unpack(rev: str, dest: Path) -> None:
@@ -212,6 +230,7 @@ def main(argv=None) -> int:
                       "suite",
             "script": "tools/bench_pairs.py",
         },
+        "net_lines": _net_lines(commits["parent"], commits["change"]),
         "workloads": {},
         "provenance": {},
     }
