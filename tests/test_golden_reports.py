@@ -5,13 +5,18 @@ The test pins the sha256 of the bytes that ``orbiton`` writes for:
 - ``classify --builtin NAME`` in json and text, for every builtin name;
 - ``foliation``, ``atlas --family g442|g424 --format text``, ``kindex``,
   ``fredholm --format text`` and ``all --format text``;
+- the json reports of ``foliation``, ``kindex``, ``fredholm``, ``all``,
+  ``atlas --family g442`` with random bases and with ``--base 1,1,1,0``,
+  and the csv of ``atlas --family g411 --bases 1 --samples 5``;
 
 and the sha256 of the ``basis_matrix`` bytes of every ``derived_series``
 stage, per family, over the family fixture and 20 seeded ``random_gl``
 conjugations of it (seed 77).
 
 The digests were taken before the derived series was cached on the
-algebra object, and any later change of evaluation must reproduce them.
+algebra object (the json and csv ones before each subcommand got one
+registration and the atlas one base loop), and any later change of
+evaluation must reproduce them.
 The reports were byte-stable under one and two BLAS threads.  They hold
 for the builds they were taken with (numpy 2.4, scipy 1.17, OpenBLAS on
 x86-64); another BLAS or libm may change last bits.
@@ -121,6 +126,20 @@ REPORT_DIGESTS = {
         "1cbcc5f94cb4c4c75d642509098167fb04a3fc9042c81be89fc6b1de390fe02a",
     "all --format text":
         "2688217c2560c1d5dd6853fdab347ff2e74eff894aa094396860799a1453eb47",
+    "atlas --family g442 --format json":
+        "f78f41f851a5fd53533062e3384d282faecc74c8de835a1ed44ea8ad6ccb77cc",
+    "atlas --family g442 --base 1,1,1,0 --samples 50 --format json":
+        "20f71316b8387e8eff62e48a4538fc19e0e376cb7e0f10e6a1cdc54b38d14001",
+    "atlas --family g411 --bases 1 --samples 5 --format csv":
+        "9671c7f1a8a9c2ac06f1c1ad941956f1c4ae8e3dd20bde13ba7504e6141bf3d8",
+    "foliation --format json":
+        "383fb2052ba1e1d80e3f3e194bac38874ed1551bc8beb6f62746ad4ff0edcf39",
+    "kindex --format json":
+        "78f03a542603b9ab672731e9ebc66b124ed4aa140917d0942a72c122feaf0661",
+    "fredholm --format json":
+        "1c7b9108acedfd61563179084277f51f56a92453be3bddea2f6bc4bfc26f2dbd",
+    "all --format json":
+        "0810426f0371c0de0f26d789f4f72431ab2acd9b915faba32050f84bdfc968b1",
 }
 
 SERIES_DIGESTS = {
@@ -149,6 +168,15 @@ def _report_argvs() -> list[tuple[str, ...]]:
         ("kindex",),
         ("fredholm", "--format", "text"),
         ("all", "--format", "text"),
+        ("atlas", "--family", "g442", "--format", "json"),
+        ("atlas", "--family", "g442", "--base", "1,1,1,0", "--samples", "50",
+         "--format", "json"),
+        ("atlas", "--family", "g411", "--bases", "1", "--samples", "5",
+         "--format", "csv"),
+        ("foliation", "--format", "json"),
+        ("kindex", "--format", "json"),
+        ("fredholm", "--format", "json"),
+        ("all", "--format", "json"),
     ]
 
 
