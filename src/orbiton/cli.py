@@ -3,7 +3,9 @@
 Subcommands mirror the library suites; reports are machine-readable (JSON
 is emitted with sorted keys, so identical configs give identical bytes)
 and exit codes follow a fixed contract: 0 all checks passed, 2 a check
-failed, 3 the input could not be used.  ORBITON_SEED overrides any --seed.
+failed, 3 the input could not be used.  Only the subcommands that draw at
+random (atlas, foliation, all) take --seed and --tol; ORBITON_SEED
+overrides their --seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import kindex as _kindex
 from . import lie_core as _lie_core
 from . import orbit_atlas as _atlas
 
-__all__ = ["main", "ParseError", "InputError", "RunConfig"]
+__all__ = ["main", "ParseError", "InputError"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -61,35 +63,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class RunConfig:
-    """Resolved invocation: command, input, seed, tolerances, output."""
+def _seed(flag: int) -> int:
+    env_seed = os.environ.get("ORBITON_SEED")
+    if env_seed is None:
+        return flag
+    try:
+        return int(env_seed)
+    except ValueError:
+        raise InputError(f"ORBITON_SEED must be an integer, got {env_seed!r}")
 
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
-        self.input_path = getattr(args, "input", None)
-        env_seed = os.environ.get("ORBITON_SEED")
-        if env_seed is not None:
-            try:
-                self.seed = int(env_seed)
-            except ValueError:
-                raise InputError(
-                    f"ORBITON_SEED must be an integer, got {env_seed!r}")
-        else:
-            self.seed = int(getattr(args, "seed", 0))
-        self.tolerances = dict(_DEFAULT_TOLERANCES)
-        for item in getattr(args, "tol", None) or []:
-            key, _, value = item.partition("=")
-            if key not in self.tolerances:
-                raise InputError(
-                    f"unknown tolerance {key!r}; known: "
-                    f"{sorted(self.tolerances)}")
-            try:
-                self.tolerances[key] = float(value)
-            except ValueError:
-                raise InputError(f"bad tolerance value in {item!r}")
-        self.output_path = getattr(args, "output", None)
-        self.format = getattr(args, "format", None)
-        self.args = args
+
+def _tolerances(overrides) -> dict:
+    tolerances = dict(_DEFAULT_TOLERANCES)
+    for item in overrides or []:
+        key, _, value = item.partition("=")
+        if key not in tolerances:
+            raise InputError(
+                f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
+        try:
+            tolerances[key] = float(value)
+        except ValueError:
+            raise InputError(f"bad tolerance value in {item!r}")
+    return tolerances
 
 
 def _resolve_family(name: str) -> str:
@@ -110,46 +105,43 @@ def _parse_floats(text: str, label: str) -> tuple:
         raise InputError(f"bad {label}: {text!r} (expected comma floats)")
 
 
-def _load_algebra(cfg: RunConfig):
-    name = getattr(cfg.args, "builtin", None)
+def _load_algebra(path: Optional[str], name: Optional[str]):
     if name is not None:
         try:
             return _families.builtin(name), f"builtin:{name}"
         except KeyError as exc:
             raise InputError(exc.args[0])
-    if cfg.input_path is None:
+    if path is None:
         raise InputError("provide an input JSON path or --builtin NAME")
     # The positional input doubles as a builtin name; an existing file
     # always wins.
-    if not os.path.exists(cfg.input_path):
+    if not os.path.exists(path):
         try:
-            return (_families.builtin(cfg.input_path),
-                    f"builtin:{cfg.input_path}")
+            return _families.builtin(path), f"builtin:{path}"
         except KeyError:
             pass
     try:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {cfg.input_path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
     try:
         json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{cfg.input_path}: {exc}")
+        raise ParseError(f"{path}: {exc}")
     try:
-        return (_lie_core.load_algebra_json(text),
-                str(cfg.input_path))
+        return _lie_core.load_algebra_json(text), str(path)
     except (_lie_core.LieAlgebraError, KeyError, TypeError,
             ValueError) as exc:
-        raise InputError(f"{cfg.input_path}: not a valid algebra: {exc}")
+        raise InputError(f"{path}: not a valid algebra: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
-def run_classify(cfg: RunConfig):
-    g, source = _load_algebra(cfg)
+def run_classify(path: Optional[str], builtin: Optional[str]):
+    g, source = _load_algebra(path, builtin)
     report = {
         "schema": 1,
         "command": "classify",
@@ -207,72 +199,60 @@ def _text_classify(report: dict) -> str:
 # atlas
 # ---------------------------------------------------------------------------
 
-def _cloud_with_residuals(g, F, model, n_points, seed):
-    count = 1 if model.kind == "Point" else max(n_points, 1)
-    sample = _coadjoint.sample_orbit(g, F, count, seed=seed)
-    residuals = [_atlas.orbit_membership(model, p) for p in sample.points]
-    return (sample.to_csv(labels=("x", "y", "z", "t")),
-            float(max(residuals)))
+def _max_residual(model, sample) -> float:
+    return float(max(_atlas.orbit_membership(model, p)
+                     for p in sample.points))
 
 
-def run_atlas(cfg: RunConfig):
-    args = cfg.args
-    family = _resolve_family(args.family)
-    params = (_parse_floats(args.params, "--params") if args.params
+def _atlas_base(g, F, model, sample) -> dict:
+    return {
+        "model": model.to_json(),
+        "orbit_dimension": _coadjoint.orbit_dimension(g, F),
+        "max_residual": _max_residual(model, sample),
+        "cloud_csv": sample.to_csv(labels=("x", "y", "z", "t")),
+    }
+
+
+def run_atlas(family: str, params: Optional[str], base: Optional[str],
+              bases: int, samples: int, seed: int, tol: dict):
+    family = _resolve_family(family)
+    params = (_parse_floats(params, "--params") if params
               else _families.default_params(family))
     try:
         g = _families.build_family(family, *params)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc))
-    tol = cfg.tolerances["membership"]
-    rng = np.random.default_rng(cfg.seed)
+    points = max(samples, 1)
+    strata = {}
+    if base:
+        F = np.array(_parse_floats(base, "--base"))
+        if len(F) != 4:
+            raise InputError("--base needs exactly 4 coordinates")
+        model = _atlas.orbit_model(family, F, params)
+        draws = [(_atlas.stratum_of(family, F, params), F, model,
+                  _atlas.orbit_cloud(g, F, model, points, seed))]
+    else:
+        # Every stratum is listed, also with no bases under --bases 0.
+        strata = {s: [] for s in _atlas.strata_names(family, params)}
+        draws = _atlas.atlas_bases(g, family, params, bases, points,
+                                   np.random.default_rng(seed))
+    worst = 0.0
+    for stratum, F, model, sample in draws:
+        entry = _atlas_base(g, F, model, sample)
+        strata.setdefault(stratum, []).append(entry)
+        worst = max(worst, entry["max_residual"])
+    passed = worst < tol["membership"]
     report = {
         "schema": 1,
         "command": "atlas",
         "family": family,
         "params": [float(p) for p in params],
-        "samples_per_base": args.samples,
-        "strata": [],
+        "samples_per_base": samples,
+        "strata": [{"name": s, "bases": b} for s, b in strata.items()],
+        "max_residual": worst,
+        "membership_tolerance": tol["membership"],
+        "status": "ok" if passed else "fail",
     }
-    worst = 0.0
-    if args.base:
-        F = _parse_floats(args.base, "--base")
-        if len(F) != 4:
-            raise InputError("--base needs exactly 4 coordinates")
-        stratum = _atlas.stratum_of(family, F, params)
-        model = _atlas.orbit_model(family, F, params)
-        csv_text, res = _cloud_with_residuals(
-            g, np.array(F), model, args.samples, cfg.seed)
-        worst = res
-        report["strata"].append({
-            "name": stratum,
-            "bases": [{
-                "model": model.to_json(),
-                "orbit_dimension": _coadjoint.orbit_dimension(g, F),
-                "max_residual": res,
-                "cloud_csv": csv_text,
-            }],
-        })
-    else:
-        for stratum in _atlas.strata_names(family, params):
-            entry = {"name": stratum, "bases": []}
-            for _ in range(args.bases):
-                F = _atlas.random_base(family, stratum, rng, params)
-                model = _atlas.orbit_model(family, F, params)
-                csv_text, res = _cloud_with_residuals(
-                    g, F, model, args.samples, int(rng.integers(2 ** 31)))
-                worst = max(worst, res)
-                entry["bases"].append({
-                    "model": model.to_json(),
-                    "orbit_dimension": _coadjoint.orbit_dimension(g, F),
-                    "max_residual": res,
-                    "cloud_csv": csv_text,
-                })
-            report["strata"].append(entry)
-    report["max_residual"] = worst
-    report["membership_tolerance"] = tol
-    passed = worst < tol
-    report["status"] = "ok" if passed else "fail"
     return report, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -292,31 +272,24 @@ def _text_atlas(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_atlas_csvs(report: dict, output_path: str) -> list:
+def _write_atlas_csvs(report: dict, output_path: str) -> None:
     stem, _ = os.path.splitext(output_path)
-    written = []
     for entry in report["strata"]:
         for idx, base in enumerate(entry["bases"]):
-            csv_text = base.get("cloud_csv")
-            if not csv_text:
-                continue
             path = f"{stem}_{report['family']}_{entry['name']}_{idx}.csv"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-            written.append(path)
-    return written
+                fh.write(base["cloud_csv"])
 
 
 # ---------------------------------------------------------------------------
 # foliation
 # ---------------------------------------------------------------------------
 
-def run_foliation(cfg: RunConfig):
-    args = cfg.args
-    names = ([_resolve_family(args.family)] if args.family
+def run_foliation(family: Optional[str], points: int, seed: int, tol: dict):
+    names = ([_resolve_family(family)] if family
              else list(_families.FAMILY_ORDER))
-    tol = cfg.tolerances["tangency"]
-    rng = np.random.default_rng(cfg.seed)
+    tol = tol["tangency"]
+    rng = np.random.default_rng(seed)
     rows = []
     all_ok = True
     for name in names:
@@ -328,7 +301,7 @@ def run_foliation(cfg: RunConfig):
         rank_ok = True
         generic = [s for s in _atlas.strata_names(name, params)
                    if s != "fixed-points"]
-        per_stratum = max(1, args.points // (20 * len(generic)))
+        per_stratum = max(1, points // (20 * len(generic)))
         for stratum in generic:
             for _ in range(20):
                 F = _atlas.random_base(name, stratum, rng, params)
@@ -403,25 +376,17 @@ def _kindex_checks(grid: int) -> list:
 
     add("idempotent_p", idempotent)
 
-    def delta0_half_line():
-        d = _kindex.delta0_via_winding(_kindex.half_line_lift_loops(),
-                                       grid=grid)
-        want = _kindex.hexagon("gamma1").maps[2].matrix
-        return (d.matrix == want,
-                "matrix matches" if d.matrix == want
-                else f"got {d.matrix}, want {want}")
+    for name, loops, hexagon in (
+            ("delta0_half_line", _kindex.half_line_lift_loops, "gamma1"),
+            ("delta0_gamma4", _kindex.vertex_lift_loops, "gamma4")):
+        def delta0(loops=loops, hexagon=hexagon):
+            d = _kindex.delta0_via_winding(loops(), grid=grid)
+            want = _kindex.hexagon(hexagon).maps[2].matrix
+            return (d.matrix == want,
+                    "matrix matches" if d.matrix == want
+                    else f"got {d.matrix}, want {want}")
 
-    add("delta0_half_line", delta0_half_line)
-
-    def delta0_gamma4():
-        d = _kindex.delta0_via_winding(_kindex.vertex_lift_loops(),
-                                       grid=grid)
-        want = _kindex.hexagon("gamma4").maps[2].matrix
-        return (d.matrix == want,
-                "matrix matches" if d.matrix == want
-                else f"got {d.matrix}, want {want}")
-
-    add("delta0_gamma4", delta0_gamma4)
+        add(name, delta0)
 
     def vertex_windings():
         loops = _kindex.vertex_lift_loops()[0]
@@ -452,9 +417,7 @@ def _kindex_checks(grid: int) -> list:
     return checks
 
 
-def run_kindex(cfg: RunConfig):
-    args = cfg.args
-    case = args.case
+def run_kindex(grid: int, case: Optional[str]):
     if case == "affR":
         pair = _fredholm.index_pair(6.0, 1024)
         indices = (pair[1].index, pair[2].index)
@@ -473,7 +436,7 @@ def run_kindex(cfg: RunConfig):
             "status": "ok" if ok else "fail",
         }
         return report, EXIT_OK if ok else EXIT_CHECK_FAILED
-    checks = _kindex_checks(args.grid)
+    checks = _kindex_checks(grid)
     if case is not None:
         wanted = [c for c in checks
                   if c["name"] == case or c["name"] == f"six_term_{case}"]
@@ -486,7 +449,7 @@ def run_kindex(cfg: RunConfig):
     report = {
         "schema": 1,
         "command": "kindex",
-        "grid": args.grid,
+        "grid": grid,
         "checks": checks,
         "status": "ok" if all_ok else "fail",
     }
@@ -532,11 +495,10 @@ def _fredholm_single(which: int, L: float, N: int) -> dict:
     return entry
 
 
-def run_fredholm(cfg: RunConfig):
-    args = cfg.args
-    which_list = [args.which] if args.which else [1, 2]
-    ladder = list(_FULL_LADDER if args.full_ladder else _LADDER)
-    main_rung = (float(args.L), int(args.N))
+def run_fredholm(which: Optional[int], L: float, N: int, full_ladder: bool):
+    which_list = [which] if which else [1, 2]
+    ladder = list(_FULL_LADDER if full_ladder else _LADDER)
+    main_rung = (float(L), int(N))
     if main_rung not in ladder:
         ladder.append(main_rung)
     report = {
@@ -545,9 +507,9 @@ def run_fredholm(cfg: RunConfig):
         "warnings": [],
         "status": "ok",
     }
-    if args.N < 256:
+    if N < 256:
         report["warnings"].append(
-            f"N={args.N} is coarse; indices are indicative only")
+            f"N={N} is coarse; indices are indicative only")
     code = EXIT_OK
     entries = {}
     rows = {}
@@ -634,8 +596,7 @@ def _text_fredholm(report: dict) -> str:
 # all
 # ---------------------------------------------------------------------------
 
-def run_all(cfg: RunConfig):
-    rng_seed = cfg.seed
+def run_all(seed: int, tol: dict):
     suites = {}
     code = EXIT_OK
 
@@ -657,32 +618,21 @@ def run_all(cfg: RunConfig):
                           "status": "ok" if classify_ok else "fail"}
 
     atlas_worst = 0.0
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     for name in _families.FAMILY_ORDER:
         params = _families.default_params(name)
         g = _families.build_family(name, *params)
-        for stratum in _atlas.strata_names(name, params):
-            for _ in range(2):
-                F = _atlas.random_base(name, stratum, rng, params)
-                model = _atlas.orbit_model(name, F, params)
-                _, res = _cloud_with_residuals(
-                    g, F, model, 50, int(rng.integers(2 ** 31)))
-                atlas_worst = max(atlas_worst, res)
-    atlas_ok = atlas_worst < cfg.tolerances["membership"]
+        for _, _, model, sample in _atlas.atlas_bases(g, name, params, 2, 50,
+                                                      rng):
+            atlas_worst = max(atlas_worst, _max_residual(model, sample))
+    atlas_ok = atlas_worst < tol["membership"]
     suites["atlas"] = {"max_residual": atlas_worst,
                        "status": "ok" if atlas_ok else "fail"}
 
-    fol_cfg = RunConfig("foliation", argparse.Namespace(
-        family=None, points=100, seed=rng_seed, tol=None, output=None,
-        format=None))
-    fol_cfg.tolerances = cfg.tolerances
-    fol_report, fol_code = run_foliation(fol_cfg)
+    fol_report, _ = run_foliation(None, 100, seed, tol)
     suites["foliation"] = {"status": fol_report["status"]}
 
-    kin_cfg = RunConfig("kindex", argparse.Namespace(
-        grid=4001, case=None, seed=rng_seed, tol=None, output=None,
-        format=None))
-    kin_report, kin_code = run_kindex(kin_cfg)
+    kin_report, _ = run_kindex(4001, None)
     suites["kindex"] = {"status": kin_report["status"],
                         "checks": kin_report["checks"]}
 
@@ -726,51 +676,16 @@ def _text_all(report: dict) -> str:
 # plumbing
 # ---------------------------------------------------------------------------
 
-_TEXT_RENDERERS = {
-    "classify": _text_classify,
-    "atlas": _text_atlas,
-    "foliation": _text_foliation,
-    "kindex": _text_kindex,
-    "fredholm": _text_fredholm,
-    "all": _text_all,
-}
-
-_RUNNERS = {
-    "classify": run_classify,
-    "atlas": run_atlas,
-    "foliation": run_foliation,
-    "kindex": run_kindex,
-    "fredholm": run_fredholm,
-    "all": run_all,
-}
-
-_DEFAULT_FORMAT = {
-    "classify": "json",
-    "atlas": "json",
-    "foliation": "text",
-    "kindex": "text",
-    "fredholm": "json",
-    "all": "json",
-}
+def _json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _render(cfg: RunConfig, report: dict) -> str:
-    fmt = cfg.format or _DEFAULT_FORMAT[cfg.command]
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
-    if fmt == "text":
-        return _TEXT_RENDERERS[cfg.command](report)
-    if fmt == "csv":
-        if cfg.command != "atlas":
-            raise InputError("csv output is only available for atlas runs")
-        parts = [base["cloud_csv"]
-                 for entry in report["strata"] for base in entry["bases"]
-                 if base.get("cloud_csv")]
-        if not parts:
-            raise InputError("no point clouds sampled; pass --samples")
-        return "".join(parts)
-    raise InputError(f"unknown format {fmt!r}")
+def _csv_atlas(report: dict) -> str:
+    parts = [base["cloud_csv"]
+             for entry in report["strata"] for base in entry["bases"]]
+    if not parts:
+        raise InputError("no point clouds sampled; pass --samples")
+    return "".join(parts)
 
 
 def build_parser() -> _Parser:
@@ -778,24 +693,33 @@ def build_parser() -> _Parser:
                      description="coadjoint-orbit and index toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, run, text, default, help, csv=None, seeded=False):
+        """One subcommand: its runner, its renderers and its flags."""
+        renderers = {"json": _json, "text": text}
+        if csv is not None:
+            renderers["csv"] = csv
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, renderers=renderers)
         p.add_argument("--output", default=None,
                        help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default=None)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a tolerance "
-                            f"(known: {sorted(_DEFAULT_TOLERANCES)})")
+        p.add_argument("--format", choices=tuple(renderers), default=default)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a tolerance "
+                                f"(known: {sorted(_DEFAULT_TOLERANCES)})")
+        return p
 
-    p = sub.add_parser("classify", help="identify an algebra")
-    p.add_argument("input", nargs="?", default=None,
+    p = command("classify", run_classify, _text_classify, "json",
+                "identify an algebra")
+    p.add_argument("path", metavar="input", nargs="?", default=None,
                    help="path to an algebra JSON file")
     p.add_argument("--builtin", default=None,
                    help="builtin registry name instead of a file")
-    common(p)
 
-    p = sub.add_parser("atlas", help="orbit models and point clouds")
+    p = command("atlas", run_atlas, _text_atlas, "json",
+                "orbit models and point clouds",
+                csv=_csv_atlas, seeded=True)
     p.add_argument("--family", required=True,
                    help="normal-form family name or alias")
     p.add_argument("--params", default=None, help="comma floats")
@@ -805,55 +729,60 @@ def build_parser() -> _Parser:
                    help="random bases per stratum")
     p.add_argument("--samples", type=int, default=200,
                    help="orbit points per base")
-    common(p)
 
-    p = sub.add_parser("foliation", help="distribution rank and tangency")
+    p = command("foliation", run_foliation, _text_foliation, "text",
+                "distribution rank and tangency", seeded=True)
     p.add_argument("--family", default=None)
     p.add_argument("--points", type=int, default=200)
-    common(p)
 
-    p = sub.add_parser("kindex", help="K-theory fixture checks")
+    p = command("kindex", run_kindex, _text_kindex, "text",
+                "K-theory fixture checks")
     p.add_argument("--grid", type=int, default=4001,
                    help="winding-number grid size")
     p.add_argument("--case", default=None,
                    help="run one named check, or 'affR'")
-    common(p)
 
-    p = sub.add_parser("fredholm", help="numerical Fredholm indices")
+    p = command("fredholm", run_fredholm, _text_fredholm, "json",
+                "numerical Fredholm indices")
     p.add_argument("--which", type=int, choices=(1, 2), default=None)
     p.add_argument("--L", type=float, default=8.0)
     p.add_argument("--N", type=int, default=2048)
     p.add_argument("--full-ladder", action="store_true",
                    help="include the (10,4096) rung")
-    common(p)
 
-    p = sub.add_parser("all", help="run every suite")
-    common(p)
+    command("all", run_all, _text_all, "json", "run every suite",
+            seeded=True)
     return parser
 
 
+# Built once per process, since main may run many times in one.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        opts = vars(_PARSER.parse_args(argv))
     except _UsageError as exc:
         print(f"orbiton: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    command, run = opts.pop("command"), opts.pop("run")
+    fmt, output = opts.pop("format"), opts.pop("output")
+    render = opts.pop("renderers")[fmt]
     try:
-        cfg = RunConfig(args.command, args)
-        report, code = _RUNNERS[args.command](cfg)
-        text = _render(cfg, report)
-    except (InputError, ParseError) as exc:
+        if "seed" in opts:
+            opts["seed"] = _seed(opts["seed"])
+            opts["tol"] = _tolerances(opts["tol"])
+        report, code = run(**opts)
+        text = render(report)
+    except (InputError, ParseError, _fredholm.BadParams,
+            _fredholm.GridTooCoarse) as exc:
         print(f"orbiton: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (_fredholm.BadParams, _fredholm.GridTooCoarse) as exc:
-        print(f"orbiton: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if cfg.command == "atlas" and (cfg.format or "json") == "json":
-            _write_atlas_csvs(report, cfg.output_path)
+        if command == "atlas" and fmt == "json":
+            _write_atlas_csvs(report, output)
     else:
         sys.stdout.write(text)
     return code

@@ -974,6 +974,8 @@ def kernel_cosine(grid: LogGrid, vector: np.ndarray,
     which=1, odd for which=2) and reduced to the positive half.  The sums
     are pairwise, with no BLAS call, as in _norm.
     """
+    if which not in (1, 2):
+        raise BadParams(f"which must be 1 or 2, got {which!r}")
     v = np.asarray(vector, dtype=float)
     n = grid.N
     sign = 1.0 if which == 1 else -1.0

@@ -53,6 +53,8 @@ __all__ = [
     "distribution_rank_at",
     "check_tangency",
     "check_polarization",
+    "orbit_cloud",
+    "atlas_bases",
     "family_atlas",
 ]
 
@@ -799,35 +801,54 @@ def check_polarization(g: LieAlgebra, F, h: Subspace) -> PolarizationReport:
 # Atlas export.
 # ---------------------------------------------------------------------------
 
+def orbit_cloud(g: LieAlgebra, F, model: OrbitModel, points: int,
+                seed: int) -> OrbitSample:
+    """Seeded sample of ``points`` points on the orbit of F.
+
+    A fixed point is its own orbit: its cloud is one row, not n copies.
+    """
+    return sample_orbit(g, F, 1 if model.kind == "Point" else points,
+                        seed=seed)
+
+
+def atlas_bases(g: LieAlgebra, label, params, n_bases: int, points: int,
+                rng: np.random.Generator):
+    """Yield (stratum, F, model, sample) for n_bases random bases a stratum.
+
+    Draws come from rng in this order: the base, then the cloud's seed,
+    the latter only when points > 0 (otherwise sample is None).
+    """
+    name, fp = _resolve_label(label, params)
+    for stratum in _STRATA[name]:
+        for _ in range(n_bases):
+            F = random_base(name, stratum, rng, fp)
+            model = orbit_model(name, F, fp)
+            sample = (orbit_cloud(g, F, model, points,
+                                  int(rng.integers(2 ** 31)))
+                      if points > 0 else None)
+            yield stratum, F, model, sample
+
+
 def family_atlas(label, params=None, n_bases: int = 3,
                  cloud_points: int = 0, seed: int = 0) -> dict:
     """JSON-ready atlas of one family: strata, models, optional point clouds."""
     name, fp = _resolve_label(label, params)
-    rng = np.random.default_rng(seed)
     g = families.build_family(name, *fp)
     info = families.FAMILIES[name]
-    out = {
+    strata = {stratum: [] for stratum in _STRATA[name]}
+    for stratum, F, model, sample in atlas_bases(
+            g, name, fp, n_bases, cloud_points, np.random.default_rng(seed)):
+        rec = {"model": model.to_json(),
+               "orbit_dimension": orbit_dimension(g, F)}
+        if sample is not None:
+            rec["cloud_csv"] = sample.to_csv(labels=("x", "y", "z", "t"))
+        strata[stratum].append(rec)
+    return {
         "schema": 1,
         "family": name,
         "params": [float(p) for p in fp],
         "topological_type": info.topo_type,
         "topological_model": info.topo_model,
         "foliation": distribution_spec(name, fp).to_json(),
-        "strata": [],
+        "strata": [{"name": s, "bases": b} for s, b in strata.items()],
     }
-    for stratum in _STRATA[name]:
-        entry = {"name": stratum, "bases": []}
-        for _ in range(n_bases):
-            F = random_base(name, stratum, rng, fp)
-            model = orbit_model(name, F, fp)
-            rec = {"model": model.to_json(),
-                   "orbit_dimension": orbit_dimension(g, F)}
-            if cloud_points > 0:
-                # A fixed point is its own orbit: one row, not n copies.
-                count = 1 if model.kind == "Point" else cloud_points
-                sample = sample_orbit(g, F, count,
-                                      seed=int(rng.integers(2 ** 31)))
-                rec["cloud_csv"] = sample.to_csv(labels=("x", "y", "z", "t"))
-            entry["bases"].append(rec)
-        out["strata"].append(entry)
-    return out

@@ -117,6 +117,11 @@ class TestClassify:
         assert "family: g421" in out
         assert "params: 0.5" in out
 
+    def test_seed_is_not_a_classify_flag(self, capsys):
+        # classify draws nothing at random, so it takes no --seed
+        assert cli.main(["classify", "g411", "--seed", "1"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestAtlas:
     def test_base_example(self, capsys):
@@ -156,6 +161,9 @@ class TestAtlas:
                         "--samples", "5", "--format", "csv")
         assert code == 0
         assert out.count("x,y,z,t") == 2  # both strata, one base each
+        code, out = run(capsys, "atlas", "--family", "g411", "--bases", "0",
+                        "--format", "csv")
+        assert (code, out) == (3, "")  # no clouds to concatenate
 
     def test_membership_gate(self, capsys):
         code, doc = run_json(capsys, "atlas", "--family", "g442",
@@ -292,6 +300,17 @@ class TestFredholm:
         assert [(e["which"], e["L"], e["N"]) for e in doc["operators"]] \
             == [(1, 8.0, 64), (2, 8.0, 64)]
         assert len(solves) == 3
+
+    def test_csv_is_a_usage_error_before_any_solve(self, capsys,
+                                                   monkeypatch):
+        from orbiton import fredholm
+
+        def no_solve(op):
+            raise AssertionError("csv must be rejected before any solve")
+
+        monkeypatch.setattr(fredholm, "numerical_index", no_solve)
+        assert cli.main(["fredholm", "--format", "csv"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_too_coarse_grid_is_input_error(self, capsys):
         code, _ = run(capsys, "fredholm", "--L", "8", "--N", "16")

@@ -323,6 +323,13 @@ class TestParity:
         assert not fr.parity_check([odd], 1)[0].ok
         assert fr.parity_check([odd], 2)[0].ok
 
+    @pytest.mark.parametrize("which", (0, 3))
+    def test_kernel_cosine_rejects_unknown_which(self, which):
+        grid = fr.build_grid(8.0, 64)
+        with pytest.raises(fr.BadParams, match="which"):
+            fr.kernel_cosine(grid, np.ones(2 * grid.N), np.ones(grid.N),
+                             which)
+
     def test_checks_independent_of_blas_threads(self):
         # At N = 16384 every sum of both checks runs over more than the
         # 10000 elements where OpenBLAS splits a ddot over threads; the

@@ -25,8 +25,9 @@ After the pairs, each side also runs each suite of ``SUITES`` once,
 with src on the path and the side that runs first alternating: the
 tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
 7 and 8, the whole acceptance file, the Fredholm tests
-(``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), and
-``orbiton all`` (text report).
+(``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), the
+command-line tests (``tests/test_cli.py`` and
+``tests/test_golden_reports.py``), and ``orbiton all`` (text report).
 Their wall times, exit codes and last output lines (the pytest summary,
 the report's status line) go under ``suites``.
 
@@ -66,6 +67,7 @@ SUITES = {
     "acceptance": [*_PYTEST, "tests/test_acceptance.py"],
     "fredholm": [*_PYTEST, "tests/test_fredholm.py",
                  "tests/test_golden_index.py"],
+    "cli": [*_PYTEST, "tests/test_cli.py", "tests/test_golden_reports.py"],
     "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
 }
 
@@ -224,8 +226,9 @@ def main(argv=None) -> int:
                       "the per-layer numbers, after the untraced pairs",
             "suites": "one timed run per side of the tier-1 suite, of "
                       "acceptance criteria 7 and 8, of the whole "
-                      "acceptance file, of the Fredholm tests and of "
-                      "orbiton all after all pairs, "
+                      "acceptance file, of the Fredholm tests, of the "
+                      "command-line tests and of orbiton all after all "
+                      "pairs, "
                       "the side that runs first alternating from suite to "
                       "suite",
             "script": "tools/bench_pairs.py",
