@@ -222,7 +222,10 @@ def run_atlas(family: str, params: Optional[str], base: Optional[str],
         g = _families.build_family(family, *params)
     except (KeyError, ValueError) as exc:
         raise InputError(str(exc))
-    points = max(samples, 1)
+    if samples < 1:
+        raise InputError(f"--samples must be at least 1, got {samples}")
+    if bases < 0:
+        raise InputError(f"--bases must not be negative, got {bases}")
     strata = {}
     if base:
         F = np.array(_parse_floats(base, "--base"))
@@ -230,11 +233,11 @@ def run_atlas(family: str, params: Optional[str], base: Optional[str],
             raise InputError("--base needs exactly 4 coordinates")
         model = _atlas.orbit_model(family, F, params)
         draws = [(_atlas.stratum_of(family, F, params), F, model,
-                  _atlas.orbit_cloud(g, F, model, points, seed))]
+                  _atlas.orbit_cloud(g, F, model, samples, seed))]
     else:
         # Every stratum is listed, also with no bases under --bases 0.
         strata = {s: [] for s in _atlas.strata_names(family, params)}
-        draws = _atlas.atlas_bases(g, family, params, bases, points,
+        draws = _atlas.atlas_bases(g, family, params, bases, samples,
                                    np.random.default_rng(seed))
     worst = 0.0
     for stratum, F, model, sample in draws:
@@ -262,11 +265,13 @@ def _text_atlas(report: dict) -> str:
         lines.append(
             "params: " + ", ".join(f"{p:.12g}" for p in report["params"]))
     for entry in report["strata"]:
-        kinds = {b["model"]["kind"] for b in entry["bases"]}
-        res = max(b["max_residual"] for b in entry["bases"])
-        lines.append(f"stratum {entry['name']}: {len(entry['bases'])} "
-                     f"base(s), kind {'/'.join(sorted(kinds))}, "
-                     f"max residual {res:.3e}")
+        bases = entry["bases"]
+        line = f"stratum {entry['name']}: {len(bases)} base(s)"
+        if bases:
+            kinds = sorted({b["model"]["kind"] for b in bases})
+            res = max(b["max_residual"] for b in bases)
+            line += f", kind {'/'.join(kinds)}, max residual {res:.3e}"
+        lines.append(line)
     lines.append(f"max_residual: {report['max_residual']:.3e}")
     lines.append(f"status: {report['status']}")
     return "\n".join(lines) + "\n"
@@ -684,7 +689,7 @@ def _csv_atlas(report: dict) -> str:
     parts = [base["cloud_csv"]
              for entry in report["strata"] for base in entry["bases"]]
     if not parts:
-        raise InputError("no point clouds sampled; pass --samples")
+        raise InputError("no point clouds sampled; pass --bases 1 or more")
     return "".join(parts)
 
 
@@ -728,7 +733,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bases", type=int, default=3,
                    help="random bases per stratum")
     p.add_argument("--samples", type=int, default=200,
-                   help="orbit points per base")
+                   help="orbit points per base, at least 1")
 
     p = command("foliation", run_foliation, _text_foliation, "text",
                 "distribution rank and tangency", seeded=True)

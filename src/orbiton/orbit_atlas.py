@@ -60,9 +60,6 @@ __all__ = [
 
 STRATUM_ZERO_RTOL = 1e-9
 
-# Membership solver controls for the parameterized-curve models.
-_GRID_HALF_WIDTH = 30.0
-_GRID_POINTS = 961
 # Central-difference step of the orbit tangents in check_tangency.
 _TANGENT_STEP = 1e-5
 # Points of F + h-perp tested for orbit membership in check_polarization,
@@ -109,21 +106,22 @@ def _resolve_label(label, params):
 
 _POINT_STRATUM = "fixed-points"
 
+# Every family has the fixed points and one generic stratum, except the two
+# whose generic orbits fall into several strata.
 _STRATA = {
-    "g411": (_POINT_STRATUM, "generic"),
-    "g412": (_POINT_STRATUM, "generic"),
-    "g421": (_POINT_STRATUM, "generic"),
-    "g422": (_POINT_STRATUM, "generic"),
-    "g423": (_POINT_STRATUM, "generic"),
-    "g424": (_POINT_STRATUM, "generic"),
-    "g431": (_POINT_STRATUM, "generic"),
-    "g432": (_POINT_STRATUM, "generic"),
-    "g433": (_POINT_STRATUM, "generic"),
-    "g434": (_POINT_STRATUM, "generic"),
+    **{name: (_POINT_STRATUM, "generic") for name in families.FAMILY_ORDER},
     "g441": (_POINT_STRATUM, "cylinders", "paraboloids"),
     "g442": (_POINT_STRATUM, "half-planes-x", "half-planes-y",
              "hyperbolic-cylinders", "hyperbolic-paraboloids"),
 }
+
+
+def _derived_coords(name: str) -> range:
+    """Coordinates of F on [g, g]: the last derived_dim of (X, Y, Z).
+
+    F is a fixed point of the coadjoint action exactly when they all vanish.
+    """
+    return range(3 - families.FAMILIES[name].derived_dim, 3)
 
 
 def strata_names(label, params=None) -> tuple[str, ...]:
@@ -138,28 +136,19 @@ def stratum_of(label, F, params=None) -> str:
     if F.shape != (4,):
         raise DimensionMismatch(f"functional must have shape (4,), got {F.shape}")
     fn = float(np.linalg.norm(F))
-    a, b, c = (not _coord_is_zero(F[0], fn), not _coord_is_zero(F[1], fn),
-               not _coord_is_zero(F[2], fn))
-    if name in ("g411", "g412"):
-        return "generic" if c else _POINT_STRATUM
-    if name in ("g421", "g422", "g423", "g424"):
-        return "generic" if (b or c) else _POINT_STRATUM
-    if name in ("g431", "g432", "g433", "g434"):
-        return "generic" if (a or b or c) else _POINT_STRATUM
+    live = [not _coord_is_zero(v, fn) for v in F[:3].tolist()]
+    if not any(live[i] for i in _derived_coords(name)):
+        return _POINT_STRATUM
+    a, b, c = live
     if name == "g441":
+        return "paraboloids" if c else "cylinders"
+    if name == "g442":
         if c:
-            return "paraboloids"
-        return "cylinders" if (a or b) else _POINT_STRATUM
-    # g442
-    if c:
-        return "hyperbolic-paraboloids"
-    if a and b:
-        return "hyperbolic-cylinders"
-    if a:
-        return "half-planes-x"
-    if b:
-        return "half-planes-y"
-    return _POINT_STRATUM
+            return "hyperbolic-paraboloids"
+        if a and b:
+            return "hyperbolic-cylinders"
+        return "half-planes-x" if a else "half-planes-y"
+    return "generic"
 
 
 def random_base(label, stratum: str, rng: np.random.Generator,
@@ -175,31 +164,14 @@ def random_base(label, stratum: str, rng: np.random.Generator,
 
     F = rng.standard_normal(4)
     if stratum == _POINT_STRATUM:
-        if name in ("g411", "g412"):
-            F[2] = 0.0
-        elif name in ("g421", "g422", "g423", "g424"):
-            F[1] = F[2] = 0.0
-        else:
-            F[0] = F[1] = F[2] = 0.0
-        return F
-    if name in ("g411", "g412"):
-        F[2] = nz()
-    elif name in ("g421", "g422", "g423"):
-        F[1], F[2] = nz(), nz()
-    elif name == "g424":
-        if rng.random() < 0.5:
-            F[1] = nz()
-        else:
-            F[1], F[2] = nz(), nz()
-    elif name in ("g431", "g432", "g433", "g434"):
-        F[0], F[1], F[2] = nz(), nz(), nz()
+        F[list(_derived_coords(name))] = 0.0
     elif name == "g441":
         if stratum == "cylinders":
             F[2] = 0.0
             F[0], F[1] = nz(), nz()
         else:
             F[2] = nz()
-    else:  # g442
+    elif name == "g442":
         if stratum == "half-planes-x":
             F[0], F[1], F[2] = nz(), 0.0, 0.0
         elif stratum == "half-planes-y":
@@ -208,6 +180,12 @@ def random_base(label, stratum: str, rng: np.random.Generator,
             F[0], F[1], F[2] = nz(), nz(), 0.0
         else:
             F[2] = nz()
+    elif name == "g424" and rng.random() < 0.5:
+        # Half of g424's open orbit draws pin only Y away from zero.
+        F[1] = nz()
+    else:
+        for i in _derived_coords(name):
+            F[i] = nz()
     return F
 
 
@@ -424,28 +402,9 @@ def _curve_membership(model: OrbitModel, p: np.ndarray) -> float:
         r = math.hypot(p[0], p[1])
         return max(_norm_defect(r, r0), _norm_defect(float(p[2]), 0.0))
 
-    cands = _curve_anchors(name, params, base, p)
-    best = math.inf
-    for s in cands:
-        best = min(best, _curve_defect(name, params, base, p, s))
-    if best < 1e-7:
-        return best
-    # Coarse scan plus local refinement for points the anchors cannot place.
-    grid = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-    vals = [_curve_defect(name, params, base, p, s) for s in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    for _ in range(60):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _curve_defect(name, params, base, p, m1) <= \
-                _curve_defect(name, params, base, p, m2):
-            hi = m2
-        else:
-            lo = m1
-    s_best = (lo + hi) / 2.0
-    return min(best, _curve_defect(name, params, base, p, s_best))
+    # 1.0, the ceiling of a normalized defect, when no anchor places p.
+    return min((_curve_defect(name, params, base, p, s)
+                for s in _curve_anchors(name, params, base, p)), default=1.0)
 
 
 def orbit_membership(model: OrbitModel, p) -> float:

@@ -165,6 +165,24 @@ class TestAtlas:
                         "--format", "csv")
         assert (code, out) == (3, "")  # no clouds to concatenate
 
+    def test_text_lists_strata_without_bases(self, capsys):
+        code, out = run(capsys, "atlas", "--family", "g411", "--bases", "0",
+                        "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert "stratum fixed-points: 0 base(s)" in lines
+        assert "stratum generic: 0 base(s)" in lines
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"),
+                                             ("--samples", "-1"),
+                                             ("--bases", "-1")])
+    def test_rejects_counts_out_of_range(self, capsys, flag, value):
+        code = cli.main(["atlas", "--family", "g411", flag, value,
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert flag in captured.err
+
     def test_membership_gate(self, capsys):
         code, doc = run_json(capsys, "atlas", "--family", "g442",
                              "--tol", "membership=1e-30",

@@ -1,5 +1,7 @@
 """Stratification, closed-form orbit models, foliations, polarizations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,17 @@ class TestStrata:
         with pytest.raises(oa.UnknownFamily):
             oa.strata_names("g999")
 
+    def test_derived_coords_span_the_derived_algebra(self):
+        # The fixed-point rule reads derived_dim: F is fixed exactly when
+        # it vanishes on [g, g], the span of the named basis vectors.
+        for name, params, g in family_fixtures():
+            derived = lc.derived_subalgebra(g)
+            assert families.FAMILIES[name].derived_dim == derived.dim
+            coords = oa._derived_coords(name)
+            assert len(coords) == derived.dim
+            for i in coords:
+                assert derived.residual(np.eye(4)[i]) < 1e-12, (name, i)
+
 
 class TestOrbitModels:
     def test_fixed_points_are_point_models(self):
@@ -106,6 +119,37 @@ class TestOrbitModels:
                                  np.array([2.0, 1.0, 1.0, 0.0]), 20, seed=8)
         worst = max(oa.orbit_membership(model, p) for p in sample.points)
         assert worst > 1e-4
+
+    # Bases on which some log anchors are undefined (a zero reference
+    # coordinate) or the rotating block has cos(phi) = 0.
+    ANCHOR_DEGENERATE = [
+        ("g421", (2.0,), [0.4, 0.0, 0.7, 0.3]),
+        ("g421", (2.0,), [0.4, 0.9, 0.0, 0.3]),
+        ("g422", (), [0.4, 0.0, 0.7, 0.3]),
+        ("g431", (2.0, 3.0), [0.0, 0.9, 0.0, 0.3]),
+        ("g432", (2.0,), [0.0, 0.9, 0.7, 0.3]),
+        ("g432", (2.0,), [0.0, 0.9, 0.0, 0.3]),
+        ("g433", (), [0.0, 0.9, 0.7, 0.3]),
+        ("g433", (), [0.0, 0.0, 0.7, 0.3]),
+        ("g423", (math.pi / 2,), [0.4, 0.9, 0.7, 0.3]),
+        ("g434", (2.0, math.pi / 2), [0.4, 0.9, 0.0, 0.3]),
+        ("g434", (2.0, math.pi / 2), [0.4, 0.9, 0.7, 0.3]),
+    ]
+
+    @pytest.mark.parametrize("name, params, base", ANCHOR_DEGENERATE)
+    def test_curve_membership_on_anchor_degenerate_bases(self, name, params,
+                                                         base):
+        model = oa.orbit_model(name, base, params)
+        assert model.kind == "ParamCurveCylinder"
+        g = families.build_family(name, *params)
+        points = co.sample_orbit(g, np.array(base), 200, seed=11).points
+        shift = np.array([1e-3, -2e-3, 3e-3, 0.0])
+        for p in points:
+            assert oa.orbit_membership(model, p) < 1e-8, p
+            assert oa.orbit_membership(model, p + shift) > 1e-8, p
+            if name == "g421":
+                # no anchor places -p: the residual is its ceiling
+                assert oa.orbit_membership(model, -p) == 1.0, p
 
     def test_model_json_roundtrippable(self):
         import json

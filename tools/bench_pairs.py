@@ -24,10 +24,12 @@ metrics are stored as they are.
 After the pairs, each side also runs each suite of ``SUITES`` once,
 with src on the path and the side that runs first alternating: the
 tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
-7 and 8, the whole acceptance file, the Fredholm tests
+3, 7 and 8, the whole acceptance file, the Fredholm tests
 (``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), the
-command-line tests (``tests/test_cli.py`` and
-``tests/test_golden_reports.py``), and ``orbiton all`` (text report).
+atlas tests (``tests/test_orbit_atlas.py`` and
+``tests/test_golden_samples.py``), the command-line tests
+(``tests/test_cli.py`` and ``tests/test_golden_reports.py``), and
+``orbiton all`` (text report).
 Their wall times, exit codes and last output lines (the pytest summary,
 the report's status line) go under ``suites``.
 
@@ -57,6 +59,9 @@ SIDES = ("parent", "change")
 _PYTEST = ["-m", "pytest", "-q"]
 SUITES = {
     "tier1": [*_PYTEST, "--continue-on-collection-errors"],
+    "criterion_03": [
+        *_PYTEST,
+        "tests/test_acceptance.py::test_criterion_03_orbit_atlas_consistency"],
     "criterion_07": [
         *_PYTEST,
         "tests/test_acceptance.py::test_criterion_07_fredholm_index_pair"],
@@ -67,6 +72,8 @@ SUITES = {
     "acceptance": [*_PYTEST, "tests/test_acceptance.py"],
     "fredholm": [*_PYTEST, "tests/test_fredholm.py",
                  "tests/test_golden_index.py"],
+    "atlas": [*_PYTEST, "tests/test_orbit_atlas.py",
+              "tests/test_golden_samples.py"],
     "cli": [*_PYTEST, "tests/test_cli.py", "tests/test_golden_reports.py"],
     "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
 }
@@ -225,10 +232,10 @@ def main(argv=None) -> int:
             "traced": "one --trace 1 run per side at each traced seed for "
                       "the per-layer numbers, after the untraced pairs",
             "suites": "one timed run per side of the tier-1 suite, of "
-                      "acceptance criteria 7 and 8, of the whole "
+                      "acceptance criteria 3, 7 and 8, of the whole "
                       "acceptance file, of the Fredholm tests, of the "
-                      "command-line tests and of orbiton all after all "
-                      "pairs, "
+                      "atlas tests, of the command-line tests and of "
+                      "orbiton all after all pairs, "
                       "the side that runs first alternating from suite to "
                       "suite",
             "script": "tools/bench_pairs.py",
