@@ -11,7 +11,23 @@ Orbit samples are words of one-parameter steps,
 F·exp(t_1 ad_{X_i1})···exp(t_m ad_{X_im}).  Draw order: row by row, each
 row takes its m generator indices from ``rng.integers`` and then its m
 times from ``rng.uniform``, exactly as ``random_word`` does, so a seed
-fixes every point.  Evaluation is batched: the steps of a block of rows
+fixes every point.  ``_draw_words`` rebuilds a block of such rows from one
+``bit_generator.random_raw`` call, bit for bit, by numpy's draw contract
+for the PCG64 generator of ``default_rng``:
+
+- ``integers(0, dim)`` with 2 <= dim <= 2**32 maps a 32-bit value x to
+  (x·dim) >> 32 (Lemire's method).  The 32-bit values are the halves of
+  raw 64-bit words, low half first; the high half waits in the bit
+  generator's buffer, so a row of odd length leaves it to the next row.
+  dim = 1 draws no bits.
+- The value is rejected, and another drawn, when the low 32 bits of x·dim
+  fall below (2**32 - dim) mod dim.  That never happens for a power of two
+  and has probability below 6/2**32 for dim <= 8; a block that meets a
+  rejection is drawn again row by row with ``_draw_word``.
+- ``uniform(low, high)`` reads one raw word per time, as
+  low + (high - low)·((raw >> 11)·2**-53).
+
+Evaluation is batched: the steps of a block of rows
 are stacked into one (rows, m, d, d) array of t·ad_{X_i} and exponentiated
 by one call of ``lie_core.expm``, the batched Pade kernel that also backs
 ``exp_ad``, then each row is composed left to right.  The kernel treats
@@ -25,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,6 +51,7 @@ from .lie_core import (
     DimensionMismatch,
     LieAlgebra,
     LieAlgebraError,
+    NonFiniteInput,
     Subspace,
     expm,
     numeric_rank,
@@ -143,6 +161,9 @@ def _as_functional(g: LieAlgebra, F: Sequence[float]) -> np.ndarray:
     if arr.shape != (g.dim,):
         raise DimensionMismatch(
             f"functional has shape {arr.shape}, algebra dim {g.dim}")
+    if not np.isfinite(arr).all():
+        i = int(np.argmin(np.isfinite(arr)))
+        raise NonFiniteInput(f"coordinate {i} of the functional is {arr[i]}")
     return arr
 
 
@@ -217,6 +238,57 @@ def _draw_word(rng: np.random.Generator, dim: int, length: int,
     return idx, ts
 
 
+def _draw_words(rng: np.random.Generator, rows: int, dim: int, length: int,
+                step_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, length) indices and times of ``rows`` calls of ``_draw_word``.
+
+    One ``random_raw`` call gives the row loop's draws bit for bit and
+    leaves the bit generator in the row loop's state (see the module
+    docstring).  A generator other than PCG64, a dim above 2**32 and a
+    block that meets a Lemire rejection run the row loop itself.
+    """
+    bg = rng.bit_generator
+    start = bg.state
+    if isinstance(bg, np.random.PCG64) and 1 <= dim <= 2 ** 32:
+        r = np.arange(rows)
+        pending = start["has_uint32"] if dim > 1 else 0
+        # Integer words fetched by the end of row r: the halves of rows
+        # 0..r, less the one pending at the start, in whole words.
+        ints = (((r + 1) * length - pending + 1) // 2 if dim > 1
+                else np.zeros_like(r))
+        # Row r reads its new integer words, then its `length` time words.
+        times = (ints + r * length)[:, None] + np.arange(length)
+        raw = bg.random_raw(int(ints[-1]) + rows * length)
+        low = -float(step_scale)
+        u = (raw[times] >> 11) * 2.0 ** -53
+        ts = low + (float(step_scale) - low) * u
+        if dim == 1:
+            return np.zeros((rows, length), dtype=np.int64), ts
+        is_int = np.ones(raw.size, dtype=bool)
+        is_int[times] = False
+        words = raw[is_int]
+        halves = np.empty(pending + 2 * words.size, dtype=np.uint64)
+        halves[:pending] = start["uinteger"]
+        halves[pending::2] = words & 0xFFFFFFFF
+        halves[pending + 1::2] = words >> 32
+        m = halves[:rows * length] * np.uint64(dim)
+        threshold = (2 ** 32 - dim) % dim
+        if not (threshold and ((m & 0xFFFFFFFF) < threshold).any()):
+            if halves.size:
+                # The last high half is pending, or stale, as numpy leaves it.
+                state = bg.state
+                state["has_uint32"] = halves.size - rows * length
+                state["uinteger"] = int(halves[-1])
+                bg.state = state
+            return (m >> 32).astype(np.int64).reshape(rows, length), ts
+        bg.state = start
+    idx = np.empty((rows, length), dtype=np.int64)
+    ts = np.empty((rows, length))
+    for r in range(rows):
+        idx[r], ts[r] = _draw_word(rng, dim, length, step_scale)
+    return idx, ts
+
+
 def random_word(g: LieAlgebra, rng: np.random.Generator,
                 length: Optional[int] = None,
                 step_scale: float = 1.0) -> GroupWord:
@@ -235,25 +307,34 @@ def sample_orbit(g: LieAlgebra, F: Sequence[float], n: int,
     Words have length 2*dim by default; parameters are uniform in
     (-step_scale, step_scale).  Row r is coadjoint_flow(g, F, w_r), bit for
     bit, where w_r is the r-th random_word drawn from default_rng(seed):
-    the words are drawn row by row in that order, so the first m rows do
-    not depend on n.  Rows are evaluated in blocks, one batched
-    exponential per block (see the module docstring).  est_dim is the rank
-    of the tangent span at the base point, which coincides with
-    orbit_dimension(g, F).
+    the words are drawn in that order, so the first m rows do not depend
+    on n.  Each block of rows is drawn from one raw call of the bit
+    generator, which reproduces numpy's integers-then-uniform draws row by
+    row (see the module docstring), and evaluated by one batched
+    exponential.  est_dim is the rank of the tangent span at the base
+    point, which coincides with orbit_dimension(g, F).
+
+    Raises ValueError for n < 1, word_length < 0, and a step_scale that
+    numpy's uniform(-step_scale, step_scale) rejects: negative (-0.0
+    included), NaN, or with 2·step_scale not finite; NonFiniteInput for a
+    non-finite F.  Nothing is drawn before these checks.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    f = _as_functional(g, F)
+    span = 2.0 * float(step_scale)
+    if not math.isfinite(span) or math.copysign(1.0, span) < 0:
+        raise ValueError(f"step_scale must be finite and >= 0, "
+                         f"got {step_scale!r}")
     length = 2 * g.dim if word_length is None else word_length
+    if length < 0:
+        raise ValueError(f"word_length must be >= 0, got {length}")
+    f = _as_functional(g, F)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_STEPS // max(1, length))
     pts = np.empty((n, g.dim))
     for start in range(0, n, block):
         rows = min(block, n - start)
-        idx = np.empty((rows, length), dtype=np.int64)
-        ts = np.empty((rows, length))
-        for r in range(rows):
-            idx[r], ts[r] = _draw_word(rng, g.dim, length, step_scale)
+        idx, ts = _draw_words(rng, rows, g.dim, length, step_scale)
         pts[start:start + rows] = _compose(f, _step_exponentials(g, idx, ts))
     # Tangent span at the base: rows of B_F, whose rank is the orbit
     # dimension.

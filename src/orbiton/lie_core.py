@@ -25,6 +25,7 @@ __all__ = [
     "AntisymmetryViolation",
     "JacobiViolation",
     "DimensionMismatch",
+    "NonFiniteInput",
     "LieAlgebra",
     "Subspace",
     "validate_algebra",
@@ -80,6 +81,10 @@ class JacobiViolation(LieAlgebraError):
 
 class DimensionMismatch(LieAlgebraError):
     pass
+
+
+class NonFiniteInput(LieAlgebraError):
+    """A coordinate of a functional or a point is NaN or infinite."""
 
 
 def _jacobiator(c: np.ndarray) -> np.ndarray:

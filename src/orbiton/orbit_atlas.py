@@ -9,6 +9,7 @@ stay meaningful for points far from the origin.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -30,6 +31,7 @@ from .lie_core import (
     DimensionMismatch,
     LieAlgebra,
     LieAlgebraError,
+    NonFiniteInput,
     Subspace,
     bracket,
     derived_subalgebra,
@@ -293,42 +295,55 @@ def _norm_defect(lhs: float, rhs: float) -> float:
 
 
 def _curve_point(name: str, params: tuple, base: np.ndarray,
-                 s: float) -> np.ndarray:
+                 s: float) -> tuple[float, float, float]:
     """Constrained (x, y, z) coordinates of the orbit curve at parameter s."""
     al, be, ga = float(base[0]), float(base[1]), float(base[2])
     if name == "g421":
         lam = params[0]
-        return np.array([al, be * math.exp(s * lam), ga * math.exp(s)])
+        return (al, be * math.exp(s * lam), ga * math.exp(s))
     if name == "g422":
         es = math.exp(s)
-        return np.array([al, be * es, (be * s + ga) * es])
+        return (al, be * es, (be * s + ga) * es)
     if name == "g423":
         phi = params[0]
         w = (be + 1j * ga) * np.exp(s * complex(math.cos(phi), math.sin(phi)))
-        return np.array([al, w.real, w.imag])
+        return (al, w.real, w.imag)
     if name == "g431":
         l1, l2 = params
-        return np.array([al * math.exp(s * l1), be * math.exp(s * l2),
-                         ga * math.exp(s)])
+        return (al * math.exp(s * l1), be * math.exp(s * l2),
+                ga * math.exp(s))
     if name == "g432":
         lam = params[0]
         esl = math.exp(s * lam)
-        return np.array([al * esl, (al * s + be) * esl, ga * math.exp(s)])
+        return (al * esl, (al * s + be) * esl, ga * math.exp(s))
     if name == "g433":
         es = math.exp(s)
-        return np.array([al * es, (al * s + be) * es,
-                         (al * s * s / 2.0 + be * s + ga) * es])
+        return (al * es, (al * s + be) * es,
+                (al * s * s / 2.0 + be * s + ga) * es)
     if name == "g434":
         lam, phi = params
         w = (al + 1j * be) * np.exp(s * complex(math.cos(phi), math.sin(phi)))
-        return np.array([w.real, w.imag, ga * math.exp(s * lam)])
+        return (w.real, w.imag, ga * math.exp(s * lam))
     raise UnknownFamily(name)
 
 
 def _curve_defect(name: str, params: tuple, base: np.ndarray,
-                  p: np.ndarray, s: float) -> float:
-    c = _curve_point(name, params, base, s)
-    return max(_norm_defect(float(p[i]), float(c[i])) for i in range(3))
+                  p: Sequence[float], s: float) -> float:
+    """Normalized defect of p against the curve point at parameter s.
+
+    1.0, the ceiling, where that point overflows: an anchor far out on the
+    curve (a point well off the orbit) places nothing.
+    """
+    try:
+        c = _curve_point(name, params, base, s)
+    except OverflowError:
+        return 1.0
+    return max(map(_norm_defect, p[:3], c))
+
+
+# |cos(phi)| below which the rotating block of g423 and g434 is also
+# anchored by its angle (see _angle_anchor).
+_ANGLE_ANCHOR_COS = 1e-4
 
 
 def _log_anchor(value: float, ref: float, exponent: float) -> Optional[float]:
@@ -338,10 +353,29 @@ def _log_anchor(value: float, ref: float, exponent: float) -> Optional[float]:
     return math.log(value / ref) / exponent
 
 
+def _angle_anchor(w: complex, w0: complex, phi: float,
+                  s_r: Optional[float]) -> Optional[float]:
+    """Solve w = w0 * exp(s * e^{i phi}) for s by arg(w / w0) = s sin(phi).
+
+    The radius anchor s_r = log|w / w0| / cos(phi) amplifies the rounding
+    of |w / w0| by 1/|cos(phi)| (member residuals of 4e-6 at cos(phi) =
+    1e-10), but it is still close enough to pick the branch of the angle.
+    Only for |cos(phi)| < _ANGLE_ANCHOR_COS: above it the radius anchor
+    alone keeps members below about 5e-12, and their residuals keep its
+    bits.
+    """
+    if s_r is None or abs(math.cos(phi)) >= _ANGLE_ANCHOR_COS:
+        return None
+    sp = math.sin(phi)
+    theta = cmath.phase(w / w0)
+    k = round((s_r * sp - theta) / (2.0 * math.pi))
+    return (theta + 2.0 * math.pi * k) / sp
+
+
 def _curve_anchors(name: str, params: tuple, base: np.ndarray,
-                   p: np.ndarray) -> list[float]:
+                   p: Sequence[float]) -> list[float]:
     al, be, ga = float(base[0]), float(base[1]), float(base[2])
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
+    x, y, z = p[:3]
     out: list[float] = []
 
     def add(s: Optional[float]):
@@ -357,9 +391,9 @@ def _curve_anchors(name: str, params: tuple, base: np.ndarray,
             add(_log_anchor(z, ga, 1.0))
     elif name == "g423":
         phi = params[0]
-        r0 = math.hypot(be, ga)
-        r = math.hypot(y, z)
-        add(_log_anchor(r, r0, math.cos(phi)))
+        s_r = _log_anchor(math.hypot(y, z), math.hypot(be, ga), math.cos(phi))
+        add(s_r)
+        add(_angle_anchor(complex(y, z), complex(be, ga), phi, s_r))
     elif name == "g431":
         l1, l2 = params
         add(_log_anchor(z, ga, 1.0))
@@ -380,13 +414,13 @@ def _curve_anchors(name: str, params: tuple, base: np.ndarray,
     elif name == "g434":
         lam, phi = params
         add(_log_anchor(z, ga, lam))
-        r0 = math.hypot(al, be)
-        r = math.hypot(x, y)
-        add(_log_anchor(r, r0, math.cos(phi)))
+        s_r = _log_anchor(math.hypot(x, y), math.hypot(al, be), math.cos(phi))
+        add(s_r)
+        add(_angle_anchor(complex(x, y), complex(al, be), phi, s_r))
     return out
 
 
-def _curve_membership(model: OrbitModel, p: np.ndarray) -> float:
+def _curve_membership(model: OrbitModel, p: Sequence[float]) -> float:
     name, params, base = model.family, model.params, model.base
 
     # Pure-rotation special cases have no usable log anchor in the rotating
@@ -394,13 +428,12 @@ def _curve_membership(model: OrbitModel, p: np.ndarray) -> float:
     if name == "g423" and abs(math.cos(params[0])) < 1e-12:
         r0 = math.hypot(base[1], base[2])
         r = math.hypot(p[1], p[2])
-        return max(_norm_defect(float(p[0]), float(base[0])),
-                   _norm_defect(r, r0))
+        return max(_norm_defect(p[0], float(base[0])), _norm_defect(r, r0))
     if (name == "g434" and abs(math.cos(params[1])) < 1e-12
             and _coord_is_zero(base[2], float(np.linalg.norm(base)))):
         r0 = math.hypot(base[0], base[1])
         r = math.hypot(p[0], p[1])
-        return max(_norm_defect(r, r0), _norm_defect(float(p[2]), 0.0))
+        return max(_norm_defect(r, r0), _norm_defect(p[2], 0.0))
 
     # 1.0, the ceiling of a normalized defect, when no anchor places p.
     return min((_curve_defect(name, params, base, p, s)
@@ -411,49 +444,50 @@ def orbit_membership(model: OrbitModel, p) -> float:
     """Residual of p against the model; 0 means membership.
 
     Equality defects are normalized by operand size; strict inequalities
-    contribute hinge terms max(0, -sign * value).
+    contribute hinge terms max(0, -sign * value).  A NaN or infinite
+    coordinate raises NonFiniteInput: no residual can place it.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionMismatch(f"point must have shape (4,), got {p.shape}")
+    x = p.tolist()
+    for i, v in enumerate(x):
+        if not math.isfinite(v):
+            raise NonFiniteInput(f"coordinate {i} of the point is {v}")
     kind = model.kind
-    base = model.base
-    fnorm = float(np.linalg.norm(base))
     parts: list[float] = [0.0]
 
     for i, v in model.fixed_coords.items():
-        parts.append(_norm_defect(float(p[i]), float(v)))
+        parts.append(_norm_defect(x[i], float(v)))
     for i, sign in model.sign_coords.items():
-        val = float(p[i])
-        parts.append(max(0.0, -sign * val) / (1.0 + abs(val)))
+        parts.append(max(0.0, -sign * x[i]) / (1.0 + abs(x[i])))
 
     if kind == "Point":
-        parts.append(max(_norm_defect(float(p[i]), float(base[i]))
-                         for i in range(4)))
+        parts.append(max(map(_norm_defect, x, model.base.tolist())))
     elif kind in ("Plane2D", "HalfPlane"):
         pass  # fully covered by fixed and sign coordinates
     elif kind == "OpenDense4D":
-        if (_coord_is_zero(p[1], fnorm + float(np.linalg.norm(p)))
-                and _coord_is_zero(p[2], fnorm + float(np.linalg.norm(p)))):
+        scale = float(np.linalg.norm(model.base)) + float(np.linalg.norm(p))
+        if _coord_is_zero(x[1], scale) and _coord_is_zero(x[2], scale):
             parts.append(1.0)
     elif kind == "ParamCurveCylinder":
-        parts.append(_curve_membership(model, p))
+        parts.append(_curve_membership(model, x))
     elif kind == "Cylinder":
         r2 = model.predicate_coeffs["r_squared"]
-        parts.append(_norm_defect(p[0] * p[0] + p[1] * p[1], r2))
+        parts.append(_norm_defect(x[0] * x[0] + x[1] * x[1], r2))
     elif kind == "Paraboloid":
         ga = model.predicate_coeffs["gamma"]
         level = model.predicate_coeffs["level"]
-        lhs = p[0] * p[0] + p[1] * p[1] - 2.0 * ga * p[3]
+        lhs = x[0] * x[0] + x[1] * x[1] - 2.0 * ga * x[3]
         parts.append(_norm_defect(lhs, level))
     elif kind == "HyperbolicCylinder":
-        parts.append(_norm_defect(p[0] * p[1],
+        parts.append(_norm_defect(x[0] * x[1],
                                   model.predicate_coeffs["product"]))
     elif kind == "HyperbolicParaboloid":
         prod = model.predicate_coeffs["product"]
         ga = model.predicate_coeffs["gamma"]
         de = model.predicate_coeffs["delta"]
-        parts.append(_norm_defect(p[0] * p[1] - prod, ga * (p[3] - de)))
+        parts.append(_norm_defect(x[0] * x[1] - prod, ga * (x[3] - de)))
     else:
         raise UnknownFamily(f"unknown model kind {kind!r}")
     return float(max(parts))

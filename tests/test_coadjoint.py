@@ -1,5 +1,6 @@
 """Kirillov form, orbit flow, sampling, and rank stratification."""
 
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,141 @@ class TestSampling:
         assert lines[0] == "X,Y,Z,T"
         assert len(lines) == 4
         assert all(len(row.split(",")) == 4 for row in lines[1:])
+
+
+def _row_loop(rng, rows, dim, length, step_scale):
+    """The reference: ``rows`` calls of _draw_word, stacked."""
+    idx = np.empty((rows, length), dtype=np.int64)
+    ts = np.empty((rows, length))
+    for r in range(rows):
+        idx[r], ts[r] = co._draw_word(rng, dim, length, step_scale)
+    return idx, ts
+
+
+def _twins(seed):
+    """Two generators in one state; seed=None takes fresh entropy."""
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng()
+    b.bit_generator.state = a.bit_generator.state
+    return a, b
+
+
+def _assert_same_draws(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """Records every call of co._draw_word, the reference row draw."""
+    calls = []
+    reference = co._draw_word
+    monkeypatch.setattr(co, "_draw_word",
+                        lambda *a: calls.append(a) or reference(*a))
+    return calls
+
+
+class TestBlockDraws:
+    """_draw_words against numpy's own row-by-row draws, byte for byte."""
+
+    @pytest.mark.parametrize("length", [*range(10), 17])
+    def test_block_equals_row_loop(self, length, row_calls):
+        for dim in range(1, 9):
+            for seed in range(50):
+                a, b = _twins(seed)
+                if seed % 2:
+                    # An odd integer draw leaves a high half pending.
+                    a.integers(0, 5, size=1)
+                    b.integers(0, 5, size=1)
+                rows = 1 + seed % 7
+                got = co._draw_words(a, rows, dim, length, 0.75)
+                assert row_calls == [], (dim, seed)
+                want = _row_loop(b, rows, dim, length, 0.75)
+                row_calls.clear()
+                _assert_same_draws(got, want)
+                assert a.bit_generator.state == b.bit_generator.state
+                # The next draws of both generators agree too.
+                assert a.integers(0, 7, size=3).tolist() == \
+                    b.integers(0, 7, size=3).tolist()
+
+    def test_lemire_rejection_falls_back_to_the_row_loop(self, row_calls):
+        # (2**32 - dim) mod dim = 2**30: a quarter of the draws are rejected.
+        dim = 3 * 2 ** 30
+        for seed in range(20):
+            a, b = _twins(seed)
+            got = co._draw_words(a, 5, dim, 3, 2.0)
+            assert len(row_calls) == 5, seed
+            want = _row_loop(b, 5, dim, 3, 2.0)
+            row_calls.clear()
+            _assert_same_draws(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_other_bit_generators_run_the_row_loop(self):
+        for bit_generator in (np.random.MT19937, np.random.Philox):
+            a = np.random.Generator(bit_generator(47))
+            b = np.random.Generator(bit_generator(47))
+            _assert_same_draws(co._draw_words(a, 9, 4, 5, 1.0),
+                               _row_loop(b, 9, 4, 5, 1.0))
+            assert a.integers(0, 7, size=3).tolist() == \
+                b.integers(0, 7, size=3).tolist()
+
+    def test_unseeded_generator_ends_in_the_row_loop_state(self):
+        for length in (3, 8):
+            a, b = _twins(None)
+            got = co._draw_words(a, 40, 4, length, 1.0)
+            want = _row_loop(b, 40, 4, length, 1.0)
+            _assert_same_draws(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_odd_length_across_a_block_boundary(self):
+        # At length 17 a block holds 481 rows; the half pending after an odd
+        # row crosses into the next block.
+        g = families.build_family("g434", 2.0, 1.0)
+        F = np.array([0.2, -0.5, 1.5, 0.7])
+        n = co._BLOCK_STEPS // 17 + 3
+        sample = co.sample_orbit(g, F, n, seed=46, word_length=17)
+        rng = np.random.default_rng(46)
+        for r, row in enumerate(sample.points):
+            flowed = co.coadjoint_flow(g, F, co.random_word(g, rng, 17))
+            assert row.tobytes() == flowed.tobytes(), r
+
+
+class TestSamplingInputs:
+    """sample_orbit checks its arguments before it draws anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew before checking the inputs")
+        monkeypatch.setattr(co, "_draw_words", fail)
+        monkeypatch.setattr(co, "_draw_word", fail)
+
+    G = families.build_family("g442")
+
+    @pytest.mark.parametrize("step_scale", [
+        -1.0, -0.0, math.nan, math.inf, -math.inf, 1e308])
+    def test_step_scale(self, step_scale):
+        with pytest.raises(ValueError, match="step_scale"):
+            co.sample_orbit(self.G, [1.0, 1.0, 1.0, 0.0], 2,
+                            step_scale=step_scale, seed=0)
+
+    def test_word_length(self):
+        with pytest.raises(ValueError, match="word_length"):
+            co.sample_orbit(self.G, [1.0, 1.0, 1.0, 0.0], 2, seed=0,
+                            word_length=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_functional(self, bad):
+        # A NaN base once sampled every point, then died in the SVD of
+        # orbit_dimension with LinAlgError.
+        for i in range(4):
+            F = [1.0, 1.0, 1.0, 1.0]
+            F[i] = bad
+            with pytest.raises(lc.NonFiniteInput, match=f"coordinate {i} "):
+                co.sample_orbit(self.G, F, 2)
+            with pytest.raises(lc.NonFiniteInput):
+                co.orbit_dimension(self.G, F)
 
 
 class TestStratify:

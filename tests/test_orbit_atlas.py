@@ -151,6 +151,41 @@ class TestOrbitModels:
                 # no anchor places -p: the residual is its ceiling
                 assert oa.orbit_membership(model, -p) == 1.0, p
 
+    # phi = pi/2 - eps: cos(phi) ~ eps, where the radius anchor alone
+    # amplified rounding into residuals of 4e-6 (eps = 1e-10).
+    NEAR_ROTATION = [("g423", [0.4, 0.9, -0.7, 0.3]),
+                     ("g434", [0.9, -0.7, 0.0, 0.3])]
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-8])
+    @pytest.mark.parametrize("name, base", NEAR_ROTATION)
+    def test_curve_membership_near_a_pure_rotation(self, name, base, eps):
+        phi = math.pi / 2 - eps
+        params = (phi,) if name == "g423" else (1.0, phi)
+        model = oa.orbit_model(name, base, params)
+        assert model.kind == "ParamCurveCylinder"
+        g = families.build_family(name, *params)
+        points = co.sample_orbit(g, np.array(base), 200, seed=11).points
+        shift = np.array([1e-3, -2e-3, 3e-3, 0.0])
+        for p in points:
+            assert oa.orbit_membership(model, p) < 1e-8, p
+            assert oa.orbit_membership(model, p + shift) > 1e-8, p
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_fails_closed(self, bad):
+        # max() never picks a NaN part, so a NaN coordinate once read as a
+        # member (residual 0.0) of almost every model.
+        rng = np.random.default_rng(56)
+        for name, params, g in family_fixtures():
+            for stratum in oa.strata_names(name, params):
+                base = oa.random_base(name, stratum, rng, params)
+                model = oa.orbit_model(name, base, params)
+                for i in range(4):
+                    p = base.copy()
+                    p[i] = bad
+                    with pytest.raises(lc.NonFiniteInput,
+                                       match=f"coordinate {i} "):
+                        oa.orbit_membership(model, p)
+
     def test_model_json_roundtrippable(self):
         import json
         model = oa.orbit_model("g421", [0.4, 1.0, 0.2, 0.0], (2.0,))

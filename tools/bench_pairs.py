@@ -26,8 +26,8 @@ with src on the path and the side that runs first alternating: the
 tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
 3, 7 and 8, the whole acceptance file, the Fredholm tests
 (``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), the
-atlas tests (``tests/test_orbit_atlas.py`` and
-``tests/test_golden_samples.py``), the command-line tests
+atlas tests (``tests/test_orbit_atlas.py``, ``tests/test_coadjoint.py``
+and ``tests/test_golden_samples.py``), the command-line tests
 (``tests/test_cli.py`` and ``tests/test_golden_reports.py``), and
 ``orbiton all`` (text report).
 Their wall times, exit codes and last output lines (the pytest summary,
@@ -73,7 +73,7 @@ SUITES = {
     "fredholm": [*_PYTEST, "tests/test_fredholm.py",
                  "tests/test_golden_index.py"],
     "atlas": [*_PYTEST, "tests/test_orbit_atlas.py",
-              "tests/test_golden_samples.py"],
+              "tests/test_coadjoint.py", "tests/test_golden_samples.py"],
     "cli": [*_PYTEST, "tests/test_cli.py", "tests/test_golden_reports.py"],
     "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
 }
