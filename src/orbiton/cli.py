@@ -100,9 +100,13 @@ def _resolve_family(name: str) -> str:
 
 def _parse_floats(text: str, label: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise InputError(f"bad {label}: {text!r} (expected comma floats)")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"bad {label}: {text!r} (NaN and infinity are "
+                         "not accepted)")
+    return values
 
 
 def _load_algebra(path: Optional[str], name: Optional[str]):

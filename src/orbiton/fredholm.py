@@ -459,7 +459,9 @@ class _Block:
     diagonal blocks of I - 2 diag(gauss) K on first use with _dense_block,
     as DiscreteOperator.matrix forms the whole block, so they are that
     matrix's diagonal blocks by construction (the tests still check it).
-    Every method takes a (k,) or (k, m) array.
+    Their triangular solves go through scipy.linalg, the one OpenBLAS of
+    the sector solve (see _sector_triples).  Every method takes a (k,) or
+    (k, m) array.
     """
 
     def __init__(self, gauss: np.ndarray, p: np.ndarray, head: np.ndarray,
@@ -648,9 +650,19 @@ def _sector_triples(block: _Block, k: int, gate: float):
     the next one, all moved less than _ITER_RTOL relative; after
     _ITER_CAP steps it raises NotConverged.  Returns (sigmas ascending,
     right vectors, left vectors, steps taken).
+
+    Every LAPACK call on a k-sized array, here and in the block solves,
+    goes through scipy.linalg, so the solve uses one OpenBLAS thread pool.
+    The numpy and scipy wheels each ship their own OpenBLAS; a numpy
+    LAPACK call (np.linalg.qr of the start block did) wakes numpy's pool,
+    whose threads then spin beside scipy's and slow the solves after it.
+    numpy's products here, on 8 columns or one 256-row block, are small
+    enough that OpenBLAS keeps them on the calling thread.  The start
+    block is bit for bit np.linalg.qr's.
     """
     rng = np.random.default_rng(12345)
-    v = np.linalg.qr(rng.standard_normal((block.shape[0], k)))[0]
+    v = scipy.linalg.qr(rng.standard_normal((block.shape[0], k)),
+                        mode="economic", check_finite=False)[0]
     prev = None
     change = math.inf
     for step in range(1, _ITER_CAP + 1):

@@ -84,7 +84,8 @@ class DimensionMismatch(LieAlgebraError):
 
 
 class NonFiniteInput(LieAlgebraError):
-    """A coordinate of a functional or a point is NaN or infinite."""
+    """A coordinate of a functional or a point, or a structure constant, is
+    NaN or infinite."""
 
 
 def _jacobiator(c: np.ndarray) -> np.ndarray:
@@ -139,13 +140,18 @@ class LieAlgebra:
 def validate_algebra(c, basis_labels=None, atol: float = VALIDATION_ATOL) -> LieAlgebra:
     """Check antisymmetry and the Jacobi identity, then wrap the constants.
 
-    Raises :class:`AntisymmetryViolation` or :class:`JacobiViolation` carrying
-    the worst offending triple and its residual.
+    Raises :class:`NonFiniteInput` naming the first NaN or infinite entry
+    (every comparison with NaN is false, so neither check below would see
+    it), then :class:`AntisymmetryViolation` or :class:`JacobiViolation`
+    carrying the worst offending triple and its residual.
     """
     c = np.array(c, dtype=float)
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise DimensionMismatch(f"expected a cubic rank-3 array, got shape {c.shape}")
     n = c.shape[0]
+    if not np.isfinite(c).all():
+        i, j, k = np.argwhere(~np.isfinite(c))[0]
+        raise NonFiniteInput(f"structure constant c[{i},{j},{k}] is {c[i, j, k]}")
 
     anti = c + np.swapaxes(c, 0, 1)
     if np.abs(anti).max() > atol:

@@ -59,6 +59,17 @@ class TestClassify:
         code, out = run(capsys, "classify", str(path))
         assert code == 3
 
+    def test_non_finite_structure_constant_is_input_error(self, capsys,
+                                                           tmp_path):
+        # json.loads reads the bare NaN token as float("nan").
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "brackets": '
+                        '[{"i": 0, "j": 1, "coeffs": {"1": NaN}}]}')
+        code = cli.main(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "c[0,1,1]" in captured.err
+
     def test_unknown_builtin(self, capsys):
         code, _ = run(capsys, "classify", "no-such-algebra")
         assert code == 3
@@ -182,6 +193,17 @@ class TestAtlas:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert flag in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "g411", "--base", "nan,1,1,0"),
+        ("--family", "g421", "--params", "nan", "--bases", "1"),
+        ("--family", "g421", "--params", "inf", "--bases", "1"),
+        ("--family", "g442", "--base", "1,-inf,1,0")])
+    def test_rejects_non_finite_numbers(self, capsys, argv):
+        code = cli.main(["atlas", *argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert argv[2] in captured.err
 
     def test_membership_gate(self, capsys):
         code, doc = run_json(capsys, "atlas", "--family", "g442",

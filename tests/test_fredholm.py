@@ -948,3 +948,54 @@ class TestSharedSolve:
             tracemalloc.stop()
         assert len(calls) == 1
         assert peak < 8 * k * k, (peak / 2 ** 20, 8 * k * k / 2 ** 20)
+
+
+# numpy's LAPACK wrappers; numpy's wheel ships an OpenBLAS of its own.
+_NUMPY_LAPACK = ("qr", "svd", "solve", "lstsq", "inv", "eig", "det",
+                 "cholesky")
+
+
+class _FirstSolve(Exception):
+    """Stops _sector_triples at its first block solve."""
+
+
+class TestOnePool:
+    """Every LAPACK call of the index path on a sector-sized array goes
+    through scipy.linalg, so the solve wakes one OpenBLAS thread pool."""
+
+    def test_no_numpy_lapack_on_sector_sized_arrays(self, monkeypatch):
+        def guarded(name, inner):
+            def call(a, *args, **kwargs):
+                if max(np.shape(a), default=0) >= 64:
+                    raise AssertionError(
+                        f"np.linalg.{name} on shape {np.shape(a)}")
+                return inner(a, *args, **kwargs)
+            return call
+
+        for name in _NUMPY_LAPACK:
+            monkeypatch.setattr(
+                np.linalg, name, guarded(name, getattr(np.linalg, name)))
+        grid = fr.build_grid(6.0, 1024)
+        for which in (1, 2):
+            r = fr.numerical_index(fr.assemble_operator(which, grid))
+            assert (r.dim_ker, r.dim_coker) == (1, 0)
+
+    @pytest.mark.parametrize("L, N, k", ((6.0, 1024, 823),
+                                         (8.0, 2048, 1491),
+                                         (10.0, 4096, 2795)))
+    def test_start_block_is_numpys_qr(self, L, N, k, monkeypatch):
+        # The deflated sizes of criterion 7's rungs.
+        seen = []
+
+        def first_rsolve(self, x):
+            seen.append(x)
+            raise _FirstSolve
+
+        monkeypatch.setattr(fr._Block, "rsolve", first_rsolve)
+        block = fr._sector_block(fr.build_grid(L, N))
+        assert block.shape == (k, k)
+        with pytest.raises(_FirstSolve):
+            fr._sector_triples(block, fr._PROBE, 0.0)
+        rng = np.random.default_rng(12345)
+        want = np.linalg.qr(rng.standard_normal((k, fr._PROBE)))[0]
+        assert seen[0].tobytes() == want.tobytes()

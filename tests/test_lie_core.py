@@ -37,6 +37,21 @@ class TestValidation:
         with pytest.raises(lc.JacobiViolation):
             lc.validate_algebra(c)
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_constant(self, value):
+        # Every comparison with NaN is false, so a NaN entry slips past
+        # both the antisymmetry and the Jacobi check unless named first.
+        c = np.zeros((3, 3, 3))
+        _set_bracket(c, 0, 1, 1, 1.0)
+        _set_bracket(c, 1, 2, 2, value)
+        with pytest.raises(lc.NonFiniteInput, match=r"c\[1,2,2\]"):
+            lc.validate_algebra(c)
+
+    def test_non_finite_constant_from_json(self):
+        text = '{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"1": NaN}}]}'
+        with pytest.raises(lc.NonFiniteInput, match=r"c\[0,1,1\] is nan"):
+            lc.load_algebra_json(text)
+
     def test_shape_mismatch(self):
         with pytest.raises(lc.DimensionMismatch):
             lc.validate_algebra(np.zeros((2, 3, 2)))
