@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import families
 from .lie_core import (
@@ -39,6 +38,7 @@ from .lie_core import (
     derived_subalgebra,
     noise_floor,
     numeric_rank,
+    singular_value_rank,
 )
 
 __all__ = [
@@ -253,8 +253,9 @@ def _classify_dim2(g: LieAlgebra, W: Subspace, scale: float) -> MD4Label:
         i_t = int(np.argmax([np.linalg.norm(r) for r in rhos]))
         t0 = comp[:, i_t]
         m = rhos[i_t]
-        smax = float(np.linalg.svd(m, compute_uv=False)[0])
-        if numeric_rank(m) < 2:
+        s_m = np.linalg.svd(m, compute_uv=False)
+        smax = float(s_m[0])
+        if singular_value_rank(s_m, m.shape) < 2:
             return MD4Label("NotMD4",
                             reason="singular action on the derived plane")
         eigs = np.linalg.eigvals(m)
@@ -362,10 +363,11 @@ def _classify_dim2(g: LieAlgebra, W: Subspace, scale: float) -> MD4Label:
 def _classify_dim3_abelian(g: LieAlgebra, B: np.ndarray, t0: np.ndarray,
                            scale: float) -> MD4Label:
     a_mat = _restricted_ad(g, B, t0)
-    if numeric_rank(a_mat) < 3:
+    s_a = np.linalg.svd(a_mat, compute_uv=False)
+    if singular_value_rank(s_a, a_mat.shape) < 3:
         return MD4Label("NotMD4",
                         reason="singular action on the derived hyperplane")
-    smax = float(np.linalg.svd(a_mat, compute_uv=False)[0])
+    smax = float(s_a[0])
     eigs = np.linalg.eigvals(a_mat)
     cut = JORDAN_GAP_RTOL * smax
     band_top = BORDERLINE_FACTOR * cut
@@ -684,6 +686,13 @@ def _merge_repeated(acts: np.ndarray, diag: np.ndarray,
         out.append(diag[near].mean(axis=0))
         left = [j for j in left if j not in near]
     return out
+
+
+def schur(a: np.ndarray, output: str):
+    """scipy.linalg.schur, with scipy imported on first use, so that
+    importing this package and the orbit side never load it."""
+    import scipy.linalg
+    return scipy.linalg.schur(a, output=output)
 
 
 def _weights(g: LieAlgebra, W: Subspace, V: np.ndarray):

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FredholmError",
@@ -545,6 +544,8 @@ class _Block:
 
     def _forward(self, y: np.ndarray) -> np.ndarray:
         """(I - 2 diag(gauss) K)^-1 y, block by block from the top."""
+        import scipy.linalg
+
         x = np.empty_like(y)
         state = np.zeros((2, y.shape[1]))
         for a, factor in zip(self._starts(), self._factors):
@@ -566,6 +567,8 @@ class _Block:
 
     def _backward(self, y: np.ndarray) -> np.ndarray:
         """(I - 2 diag(gauss) K)^-T y, block by block from the bottom."""
+        import scipy.linalg
+
         z = np.empty_like(y)
         w = np.empty_like(y)
         state = np.zeros((2, y.shape[1]))
@@ -658,8 +661,12 @@ def _sector_triples(block: _Block, k: int, gate: float):
     whose threads then spin beside scipy's and slow the solves after it.
     numpy's products here, on 8 columns or one 256-row block, are small
     enough that OpenBLAS keeps them on the calling thread.  The start
-    block is bit for bit np.linalg.qr's.
+    block is bit for bit np.linalg.qr's.  scipy is imported here and in
+    the block solves, on first use, so that importing this package and
+    the orbit side never load it.
     """
+    import scipy.linalg
+
     rng = np.random.default_rng(12345)
     v = scipy.linalg.qr(rng.standard_normal((block.shape[0], k)),
                         mode="economic", check_finite=False)[0]

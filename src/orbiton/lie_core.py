@@ -38,6 +38,7 @@ __all__ = [
     "derived_series",
     "derived_series_length",
     "numeric_rank",
+    "singular_value_rank",
     "noise_floor",
     "load_algebra_json",
     "algebra_to_json",
@@ -185,12 +186,16 @@ def change_basis(g: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     p = np.asarray(p, dtype=float)
     if p.shape != (g.dim, g.dim):
         raise DimensionMismatch(f"basis matrix shape {p.shape} != ({g.dim},{g.dim})")
+    d = g.dim
     pinv = np.linalg.inv(p)
     # c_new[a, b, m] = sum p[i, a] p[j, b] c[i, j, k] pinv[m, k], contracted
     # over i, then j, then k: the order is part of the result's last bits.
-    c_new = np.tensordot(p, g.c, ([0], [0]))
-    c_new = np.tensordot(p, c_new, ([0], [1]))
-    c_new = np.tensordot(pinv, c_new, ([1], [2])).transpose(2, 1, 0)
+    # Each step is the one np.dot that np.tensordot would make.
+    c_new = np.dot(p.T, g.c.reshape(d, d * d)).reshape(d, d, d)  # [a, j, k]
+    c_new = np.dot(p.T, c_new.transpose(1, 0, 2).reshape(d, d * d))
+    c_new = c_new.reshape(d, d, d).transpose(2, 0, 1)  # [k, b, a]
+    c_new = np.dot(pinv, c_new.reshape(d, d * d)).reshape(d, d, d)
+    c_new = c_new.transpose(2, 1, 0)
     c_new = 0.5 * (c_new - np.swapaxes(c_new, 0, 1))
     return LieAlgebra(dim=g.dim, c=c_new)
 
@@ -292,10 +297,15 @@ def numeric_rank(m: np.ndarray) -> int:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    return singular_value_rank(np.linalg.svd(m, compute_uv=False), m.shape)
+
+
+def singular_value_rank(s: np.ndarray, shape: tuple) -> int:
+    """numeric_rank of a matrix of this shape from its singular values s
+    (descending), for callers that need the values too."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    tol = max(m.shape) * s[0] * RANK_RTOL
+    tol = max(shape) * s[0] * RANK_RTOL
     return int((s > tol).sum())
 
 
@@ -356,15 +366,17 @@ class Subspace:
 def _derived_step(g: LieAlgebra, stage: Subspace, floor: float) -> Subspace:
     """[h, h] for the stage h: the span of the pairwise brackets of its basis."""
     b = stage.basis_matrix
-    r = b.shape[1]
-    cols = [
-        np.einsum("i,j,ijk->k", b[:, a], b[:, b2], g.c)
-        for a in range(r)
-        for b2 in range(a + 1, r)
-    ]
-    if not cols:
-        return Subspace.zero(g.dim)
-    return Subspace.from_columns(np.column_stack(cols), g.dim, atol=floor)
+    i, j = _pairs(b.shape[1])
+    cols = np.einsum("in,jn,ijk->kn", b[:, i], b[:, j], g.c)
+    return Subspace.from_columns(cols, g.dim, atol=floor)
+
+
+@functools.cache
+def _pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs a < b of r basis vectors, in row-major order."""
+    i, j = np.triu_indices(r, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def derived_subalgebra(g: LieAlgebra, k: int = 1) -> Subspace:

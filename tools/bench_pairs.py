@@ -28,8 +28,10 @@ tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
 (``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), the
 atlas tests (``tests/test_orbit_atlas.py``, ``tests/test_coadjoint.py``
 and ``tests/test_golden_samples.py``), the command-line tests
-(``tests/test_cli.py`` and ``tests/test_golden_reports.py``), and
-``orbiton all`` (text report).
+(``tests/test_cli.py`` and ``tests/test_golden_reports.py``),
+``orbiton all`` (text report), ``import orbiton`` alone, and
+``orbiton atlas --family g442`` (text report), the last two for the
+start-up cost of the package and of the orbit side.
 Their wall times, exit codes and last output lines (the pytest summary,
 the report's status line) go under ``suites``.
 
@@ -76,6 +78,9 @@ SUITES = {
               "tests/test_coadjoint.py", "tests/test_golden_samples.py"],
     "cli": [*_PYTEST, "tests/test_cli.py", "tests/test_golden_reports.py"],
     "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
+    "import": ["-c", "import orbiton"],
+    "orbiton_atlas": ["-m", "orbiton.cli", "atlas", "--family", "g442",
+                      "--format", "text"],
 }
 
 
@@ -234,8 +239,9 @@ def main(argv=None) -> int:
             "suites": "one timed run per side of the tier-1 suite, of "
                       "acceptance criteria 3, 7 and 8, of the whole "
                       "acceptance file, of the Fredholm tests, of the "
-                      "atlas tests, of the command-line tests and of "
-                      "orbiton all after all pairs, "
+                      "atlas tests, of the command-line tests, of "
+                      "orbiton all, of import orbiton and of orbiton atlas "
+                      "--family g442 after all pairs, "
                       "the side that runs first alternating from suite to "
                       "suite",
             "script": "tools/bench_pairs.py",
