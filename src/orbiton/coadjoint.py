@@ -29,11 +29,22 @@ for the PCG64 generator of ``default_rng``:
 
 Evaluation is batched: the steps of a block of rows
 are stacked into one (rows, m, d, d) array of t·ad_{X_i} and exponentiated
-by one call of ``lie_core.expm``, the batched Pade kernel that also backs
+by one call of the batched Pade kernel behind ``lie_core.expm`` and
 ``exp_ad``, then each row is composed left to right.  The kernel treats
 every slice on its own (its own scaling, its own squarings), so a row's
 point does not depend on the block it was evaluated in: row r of a sample
 is bit for bit ``coadjoint_flow`` of the r-th word.
+
+``sample_orbit`` keeps the step stack and the kernel's temporaries in a
+per-thread workspace, reused from call to call and never larger than one
+block needs (about 1.2 MB at 200 points, at most about 6 MB).  At 200
+points each of these arrays is about 200 KB, above glibc's default 128 KB
+mmap and trim thresholds, so arrays made afresh go back to the kernel when
+freed (unmapped, or trimmed off the top of the heap) and the next call
+faults their pages in again: about 9,900 minor faults per ``orbit-atlas``
+benchmark pass, against 1 on the workspace.  The workspace changes where
+results are stored, not which operations run, so samples are bit for bit
+those of fresh arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import csv
 import io
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -53,7 +65,8 @@ from .lie_core import (
     LieAlgebraError,
     NonFiniteInput,
     Subspace,
-    expm,
+    _expm_into,
+    _fresh_array,
     numeric_rank,
 )
 
@@ -199,13 +212,45 @@ def flow_tangent(g: LieAlgebra, F: Sequence[float], k: int) -> np.ndarray:
     return np.einsum("jk,k->j", g.c[k], f)
 
 
-def _step_exponentials(g: LieAlgebra, idx: np.ndarray,
-                       ts: np.ndarray) -> np.ndarray:
-    """exp(t·ad_{X_i}) for every (i, t) pair of two equal-shape arrays."""
+class _Workspace(threading.local):
+    """One array per slot, kept by each thread and reused from call to
+    call: requests return a view of it, grown when a request needs more.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, slot: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        array = self.arrays.get(slot)
+        if array is None or array.size < size:
+            array = self.arrays[slot] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+_workspace = _Workspace()
+
+
+def _step_exponentials(g: LieAlgebra, idx: np.ndarray, ts: np.ndarray,
+                       work=_fresh_array) -> np.ndarray:
+    """exp(t·ad_{X_i}) for every (i, t) pair of two equal-shape arrays.
+
+    Every array of the step stack comes from work (see
+    ``lie_core._expm_into``); by default each is new, so the caller owns
+    the result.  With ``_workspace`` the result is only valid until the
+    thread's next such call.
+    """
+    d = g.dim
     gens = np.swapaxes(g.c, 1, 2)            # gens[i] = ad_matrix(g, X_i)
+    steps = np.take(gens, idx, axis=0, out=work("steps", idx.shape + (d, d)),
+                    mode="clip")
     # ad_matrix(g, t·X_i) sums t·c[i] with zeros, which turns each -0.0
     # into +0.0; adding 0.0 does the same and changes nothing else.
-    return expm(ts[..., None, None] * gens[idx] + 0.0)
+    np.multiply(ts[..., None, None], steps, out=steps)
+    np.add(steps, 0.0, out=steps)
+    out = work("exps", steps.shape)
+    _expm_into(steps.reshape(-1, d, d), out.reshape(-1, d, d), work)
+    return out
 
 
 def _compose(f: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -335,7 +380,8 @@ def sample_orbit(g: LieAlgebra, F: Sequence[float], n: int,
     for start in range(0, n, block):
         rows = min(block, n - start)
         idx, ts = _draw_words(rng, rows, g.dim, length, step_scale)
-        pts[start:start + rows] = _compose(f, _step_exponentials(g, idx, ts))
+        pts[start:start + rows] = _compose(
+            f, _step_exponentials(g, idx, ts, _workspace))
     # Tangent span at the base: rows of B_F, whose rank is the orbit
     # dimension.
     est = orbit_dimension(g, f)

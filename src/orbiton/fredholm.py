@@ -65,6 +65,7 @@ __all__ = [
     "GapTooSmall",
     "AsymptoticMismatch",
     "NotConverged",
+    "UnplacedCandidate",
     "LogGrid",
     "DiscreteOperator",
     "IndexResult",
@@ -139,6 +140,21 @@ class NotConverged(FredholmError):
         super().__init__(
             f"{what} stopped at its cap of {iterations} steps "
             f"with relative change {change:.3g} (needs < {_ITER_RTOL:g})")
+
+
+class UnplacedCandidate(FredholmError):
+    """A singular value under the cut that neither stability test places."""
+
+    def __init__(self, value: float, ker_residual: float,
+                 coker_residual: float):
+        self.value = value
+        self.ker_residual = ker_residual
+        self.coker_residual = coker_residual
+        super().__init__(
+            f"singular value {value:.3g} is under the cut, but its kernel "
+            f"residual {ker_residual:.3g} and its cokernel residual "
+            f"{coker_residual:.3g} are both at least STABILITY_TOL = "
+            f"{STABILITY_TOL:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,6 +453,31 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.sum(v * v)))
 
 
+def _lower_solve(factor: np.ndarray, rhs: np.ndarray,
+                 transposed: bool) -> np.ndarray:
+    """factor^-1 rhs (factor^-T rhs when transposed) for a C-ordered
+    lower-triangular factor.
+
+    The LAPACK call that scipy.linalg.solve_triangular(factor, rhs,
+    lower=True, check_finite=False) makes on such a factor: dtrtrs on
+    factor.T, which is upper-triangular in Fortran order, with the
+    transpose flag flipped.  It keeps that function's errors and its
+    empty result for an empty rhs, which dtrtrs rejects.
+    """
+    from scipy.linalg.lapack import dtrtrs
+
+    if rhs.size == 0:
+        return np.empty_like(rhs)
+    x, info = dtrtrs(factor.T, rhs, lower=0, trans=0 if transposed else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 class _Block:
     """The k x k parity block A = R (I - 2 diag(gauss) K) R^-1, from its
     generators.
@@ -458,9 +499,9 @@ class _Block:
     diagonal blocks of I - 2 diag(gauss) K on first use with _dense_block,
     as DiscreteOperator.matrix forms the whole block, so they are that
     matrix's diagonal blocks by construction (the tests still check it).
-    Their triangular solves go through scipy.linalg, the one OpenBLAS of
-    the sector solve (see _sector_triples).  Every method takes a (k,) or
-    (k, m) array.
+    Their triangular solves call scipy's LAPACK (_lower_solve), the one
+    OpenBLAS of the sector solve (see _sector_triples).  Every method takes
+    a (k,) or (k, m) array.
     """
 
     def __init__(self, gauss: np.ndarray, p: np.ndarray, head: np.ndarray,
@@ -544,8 +585,6 @@ class _Block:
 
     def _forward(self, y: np.ndarray) -> np.ndarray:
         """(I - 2 diag(gauss) K)^-1 y, block by block from the top."""
-        import scipy.linalg
-
         x = np.empty_like(y)
         state = np.zeros((2, y.shape[1]))
         for a, factor in zip(self._starts(), self._factors):
@@ -557,8 +596,7 @@ class _Block:
                     field += col[:, None] * x[c]
                 rhs = rhs + 2.0 * (self.gauss[a:a + n] * field)
             xa = x[a:a + n]
-            xa[:] = scipy.linalg.solve_triangular(
-                factor, rhs, lower=True, check_finite=False)
+            xa[:] = _lower_solve(factor, rhs, transposed=False)
             if a == 0:
                 xa = xa.copy()
                 xa[:self.head.shape[1]] = 0.0
@@ -567,8 +605,6 @@ class _Block:
 
     def _backward(self, y: np.ndarray) -> np.ndarray:
         """(I - 2 diag(gauss) K)^-T y, block by block from the bottom."""
-        import scipy.linalg
-
         z = np.empty_like(y)
         w = np.empty_like(y)
         state = np.zeros((2, y.shape[1]))
@@ -578,9 +614,8 @@ class _Block:
             field, weights = self._sweep(state, n, False)
             if a == 0:
                 field[:self.head.shape[1]] = self._head_t(w, n)
-            z[a:a + n] = scipy.linalg.solve_triangular(
-                factor, y[a:a + n] + 2.0 * field, trans="T", lower=True,
-                check_finite=False)
+            z[a:a + n] = _lower_solve(factor, y[a:a + n] + 2.0 * field,
+                                      transposed=True)
             w[a:a + n] = self.gauss[a:a + n] * z[a:a + n]
             state = self._push(state, weights, w[a:a + n])
         return z
@@ -820,7 +855,8 @@ def numerical_index(op: DiscreteOperator) -> IndexResult:
     as [r, s r] / sqrt(2); each must stay a near-null vector after
     zero-padding onto a window enlarged by 2 in L (same step) to count,
     which is what separates dim_ker from dim_coker on a square
-    truncation.  The window's block is a _Block too.  No step sums
+    truncation; a candidate that neither test places raises
+    UnplacedCandidate.  The window's block is a _Block too.  No step sums
     through a BLAS call that splits a sum over threads, so the data do
     not depend on the thread count.
 
@@ -885,6 +921,8 @@ def numerical_index(op: DiscreteOperator) -> IndexResult:
         ufun[:k] = lefts[:, i] / root[:k]
         ker_res.append(_stability_residual(window, vfun, False))
         coker_res.append(_stability_residual(window, ufun, True))
+        if min(ker_res[-1], coker_res[-1]) >= STABILITY_TOL:
+            raise UnplacedCandidate(near[i], ker_res[-1], coker_res[-1])
         ker_vecs.append(np.concatenate([vfun, sign * vfun]) / math.sqrt(2.0))
         coker_vecs.append(np.concatenate([ufun, sign * ufun]) /
                           math.sqrt(2.0))

@@ -233,33 +233,64 @@ def expm(a) -> np.ndarray:
     shape = a.shape
     if len(shape) < 2 or shape[-1] != shape[-2]:
         raise DimensionMismatch(f"expected a (..., d, d) stack, got {shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix exponential of a non-finite matrix")
     d = shape[-1]
-    a = a.reshape(-1, d, d)
-    eye = np.eye(d, dtype=bool)
-    full = (a[:, ~eye] != 0.0).any(axis=1)
-    out = np.zeros_like(a)
-    i = np.arange(d)
-    out[:, i, i] = np.exp(a[:, i, i])
+    out = np.empty(shape)
+    _expm_into(a.reshape(-1, d, d), out.reshape(-1, d, d), _fresh_array)
+    return out
 
-    af = a[full]
-    r = np.eye(d) + af
+
+def _fresh_array(slot: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The workspace of :func:`expm`: a new array for every request."""
+    return np.empty(shape, dtype)
+
+
+def _expm_into(a: np.ndarray, out: np.ndarray, work) -> None:
+    """:func:`expm` of a C-contiguous (n, d, d) stack a, written to out.
+
+    Every array of n or fewer slices comes from work(slot, shape, dtype),
+    which returns an uninitialised C-contiguous array; one slot is never
+    requested twice in a call, so a caller may hand out the same memory
+    for a slot on every call.  Only where results are stored depends on
+    work, never which operations run or their order.  Gathers use
+    np.take with mode="clip" on in-range indices: with out=, mode="raise"
+    and np.compress write to a hidden copy of out first.
+    """
+    n, d, _ = a.shape
+    nonzero = work("nonzero", a.shape, bool)
+    if not np.isfinite(a, out=nonzero).all():
+        raise ValueError("matrix exponential of a non-finite matrix")
+    i = np.arange(d)
+    np.not_equal(a, 0.0, out=nonzero)
+    nonzero[:, i, i] = False
+    full = np.any(nonzero, axis=(1, 2), out=work("full", (n,), bool))
+    diag = np.take(a.reshape(n, d * d), i * (d + 1), axis=1,
+                   out=work("diag", (n, d)), mode="clip")
+    out[...] = 0.0
+    out[:, i, i] = np.exp(diag, out=diag)
+
+    rows = np.flatnonzero(full)
+    m = rows.size
+    af = np.take(a, rows, axis=0, out=work("af", (m, d, d)), mode="clip")
+    r = np.add(np.eye(d), af, out=work("r", (m, d, d)))
+    # Series terms alternate between two arrays, since matmul copies an
+    # operand that overlaps its output.
+    terms = (work("term0", (m, d, d)), work("term1", (m, d, d)))
     term = af
     for k in range(2, d):
-        term = term @ af / k
+        term = np.matmul(term, af, out=terms[k % 2])
+        np.divide(term, k, out=term)
         r += term
     # Products keep the zeros of the pattern exact, so the series needs no
     # mask; the Pade solve can fill them, so its result is masked with the
     # reachability of the graph of A (paths of length <= d - 1).
-    pade = (term @ af).any(axis=(1, 2))
+    pade = np.any(np.matmul(term, af, out=terms[d % 2]), axis=(1, 2),
+                  out=work("pade", (m,), bool))
     ap = af[pade]
-    reach = (ap != 0.0) | eye
+    reach = (ap != 0.0) | np.eye(d, dtype=bool)
     for _ in range(max(d - 2, 0).bit_length()):
         reach = reach @ reach
     r[pade] = np.where(reach, _pade13_squared(ap), 0.0)
     out[full] = r
-    return out.reshape(shape)
 
 
 def _pade13_squared(a: np.ndarray) -> np.ndarray:

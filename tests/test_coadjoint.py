@@ -2,9 +2,11 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,24 @@ from scipy.linalg import expm
 import orbiton
 from orbiton import coadjoint as co, families, lie_core as lc
 
-from conftest import family_fixtures
+from conftest import child_json, family_fixtures
+
+# Minor page faults of 20 warm 200-point samples in a process that
+# imports only orbiton.
+_FAULTS_CHILD = """
+import json, resource, sys
+import orbiton
+from orbiton import families
+scipy_loaded = "scipy" in sys.modules
+g = families.build_family("g442")
+base = [0.6, -1.2, 0.8, 0.3]
+orbiton.sample_orbit(g, base, 200, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(1, 21):
+    orbiton.sample_orbit(g, base, 200, seed=seed)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"scipy": scipy_loaded, "faults": faults}))
+"""
 
 
 class TestKirillovForm:
@@ -227,6 +246,64 @@ class TestSampling:
             assert got[diagonal].tobytes() == want[diagonal].tobytes(), name
             if step_scale == 0.0:
                 assert diagonal.all()
+
+    def test_reused_workspace_gives_fresh_bytes(self):
+        # The exponential on one workspace, kept across stacks that grow
+        # and shrink, gives expm's bytes every time.
+        work = co._Workspace()
+        rng = np.random.default_rng(9)
+        for n in (300, 7, 0, 300, 1, 40):
+            a = rng.standard_normal((n, 4, 4)) * rng.integers(0, 2, (n, 4, 4))
+            a[:n // 3] = np.tril(a[:n // 3], -1)
+            out = np.empty_like(a)
+            lc._expm_into(a, out, work)
+            assert out.tobytes() == lc.expm(a).tobytes(), n
+
+    def test_workspace_is_per_thread(self):
+        # Threads sample different families at once, more threads than
+        # cores and a short switch interval, each on its own reused
+        # workspace; every point is the serial result bit for bit.
+        rounds = 50
+        cases = {"g442": [1.0, 1.0, 1.0, 0.0], "g424": [0.0, 1.0, 0.5, 0.3],
+                 "g434": [0.2, -0.5, 1.5, 0.7]}
+        serial = {name: [co.sample_orbit(families.build_family(name), F,
+                                         200, seed=r).points.tobytes()
+                         for r in range(rounds)]
+                  for name, F in cases.items()}
+        start = threading.Barrier(len(cases))
+        mismatches = {}
+
+        def sample(name, F):
+            g = families.build_family(name)
+            start.wait()
+            mismatches[name] = [
+                r for r in range(rounds)
+                if co.sample_orbit(g, F, 200, seed=r).points.tobytes()
+                != serial[name][r]]
+
+        threads = [threading.Thread(target=sample, args=case)
+                   for case in cases.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == {name: [] for name in cases}
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's heap trimming")
+    def test_warm_sampling_does_not_fault_in_pages(self):
+        # Without scipy's import, which raises glibc's mmap and trim
+        # thresholds, temporaries freed after every call would be trimmed
+        # and faulted back in on the next (about 1,800 faults here).
+        out = child_json(_FAULTS_CHILD, 1)
+        assert out["scipy"] is False
+        assert out["faults"] < 200, out
 
     def test_first_coordinate_constant_on_g421_orbits(self):
         # The first dual coordinate is a Casimir for this family: every

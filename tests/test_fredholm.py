@@ -622,6 +622,21 @@ class TestStructuredBlock:
             close(block.rsolve(v), scipy.linalg.solve_triangular(
                 a, v, lower=True, trans="T"), 1e-12)
 
+    def test_lower_solve_is_solve_triangular(self, case):
+        # The bare LAPACK call gives solve_triangular's bytes, one
+        # right-hand side or eight, plain or transposed.
+        _, block = case
+        rng = np.random.default_rng(4)
+        for factor in block._factors:
+            for rhs in (rng.standard_normal((factor.shape[0], 1)),
+                        rng.standard_normal((factor.shape[0], 8))):
+                for transposed, trans in ((False, "N"), (True, "T")):
+                    want = scipy.linalg.solve_triangular(
+                        factor, rhs, trans=trans, lower=True,
+                        check_finite=False)
+                    got = fr._lower_solve(factor, rhs, transposed)
+                    assert got.tobytes() == want.tobytes()
+
     def test_solve_factors_are_the_dense_diagonal_blocks(self, case):
         op, block = case
         a = 0
@@ -630,6 +645,52 @@ class TestStructuredBlock:
             assert factor.tobytes() == op.matrix[a:e, a:e].tobytes()
             a = e
         assert a == block.shape[0]
+
+
+class TestLowerSolve:
+    """_lower_solve keeps solve_triangular's edge cases."""
+
+    def test_empty_rhs_gives_an_empty_result(self):
+        # dtrtrs alone rejects an empty right-hand side (info -7).
+        for rhs in (np.empty((0, 3)), np.empty((4, 0))):
+            factor = np.eye(rhs.shape[0])
+            got = fr._lower_solve(factor, rhs, False)
+            assert got.shape == rhs.shape and got.dtype == np.float64
+
+    def test_singular_factor_raises_solve_triangulars_error(self):
+        factor = np.tril(np.ones((4, 4)))
+        factor[2, 2] = 0.0
+        rhs = np.ones((4, 2))
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.solve_triangular(factor, rhs, lower=True)
+        for transposed in (False, True):
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                fr._lower_solve(factor, rhs, transposed)
+            assert str(got.value) == str(want.value)
+
+
+class TestUnplacedCandidate:
+    """A singular value under the cut that neither stability test places
+    raises; scaling the row factor gauss by mu / 4 (mu = 4 is the real
+    operator) makes one."""
+
+    @pytest.mark.parametrize("L, N, mu", ((8.0, 2048, 2.5),
+                                          (8.0, 2048, 3.0),
+                                          (6.0, 1024, 1.9)))
+    def test_raises_with_both_residuals(self, L, N, mu, monkeypatch):
+        gauss = fr._gauss
+        _patch_generators(monkeypatch,
+                          gauss=lambda grid: (mu / 4.0) * gauss(grid))
+        monkeypatch.setattr(fr, "_last_solve", None)
+        with pytest.raises(fr.UnplacedCandidate) as err:
+            fr.numerical_index(fr.assemble_operator(1, fr.build_grid(L, N)))
+        e = err.value
+        assert isinstance(e, fr.FredholmError)
+        assert min(e.ker_residual, e.coker_residual) >= fr.STABILITY_TOL
+        text = str(e)
+        for part in (f"{e.ker_residual:.3g}", f"{e.coker_residual:.3g}",
+                     "STABILITY_TOL"):
+            assert part in text
 
 
 def _dense_window(grid):

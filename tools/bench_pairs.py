@@ -29,11 +29,13 @@ tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
 atlas tests (``tests/test_orbit_atlas.py``, ``tests/test_coadjoint.py``
 and ``tests/test_golden_samples.py``), the command-line tests
 (``tests/test_cli.py`` and ``tests/test_golden_reports.py``),
-``orbiton all`` (text report), ``import orbiton`` alone, and
-``orbiton atlas --family g442`` (text report), the last two for the
-start-up cost of the package and of the orbit side.
+``orbiton all`` (text report), ``import orbiton`` alone and
+``orbiton atlas --family g442`` (text report), these two for the
+start-up cost of the package and of the orbit side, and ``atlas_minflt``,
+which prints the minor page faults of each warm ``workloads.atlas_pass``
+(seed 101, five passes after a first one) as a JSON line.
 Their wall times, exit codes and last output lines (the pytest summary,
-the report's status line) go under ``suites``.
+the report's status line, the fault counts) go under ``suites``.
 
 The file also records ``net_lines``: for ``src`` and ``tests``, the
 lines added minus the lines deleted from parent to change, from
@@ -57,6 +59,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Minor page faults of each orbit-atlas pass after the first, which also
+# faults in code and caches.
+_ATLAS_MINFLT = """
+import json, resource, sys
+sys.path[:0] = ["perfbench"]
+import workloads
+from recorder import Checks, Recorder
+inputs = workloads.atlas_setup(101)
+rec = Recorder(tracing=False)
+faults = []
+for k in range(6):
+    rec.begin_pass(k)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    workloads.atlas_pass(inputs, rec, Checks())
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"atlas_minflt": faults[1:]}))
+"""
 # Each suite is the argument list of one timed interpreter run.
 _PYTEST = ["-m", "pytest", "-q"]
 SUITES = {
@@ -81,6 +100,7 @@ SUITES = {
     "import": ["-c", "import orbiton"],
     "orbiton_atlas": ["-m", "orbiton.cli", "atlas", "--family", "g442",
                       "--format", "text"],
+    "atlas_minflt": ["-c", _ATLAS_MINFLT],
 }
 
 
@@ -240,8 +260,9 @@ def main(argv=None) -> int:
                       "acceptance criteria 3, 7 and 8, of the whole "
                       "acceptance file, of the Fredholm tests, of the "
                       "atlas tests, of the command-line tests, of "
-                      "orbiton all, of import orbiton and of orbiton atlas "
-                      "--family g442 after all pairs, "
+                      "orbiton all, of import orbiton, of orbiton atlas "
+                      "--family g442 and of the warm orbit-atlas passes' "
+                      "minor page faults (atlas_minflt) after all pairs, "
                       "the side that runs first alternating from suite to "
                       "suite",
             "script": "tools/bench_pairs.py",
