@@ -129,11 +129,6 @@ class GroupHom:
         return np.array(self.matrix, dtype=np.int64).reshape(
             self.dst.rank, self.src.rank)
 
-    @classmethod
-    def zero(cls, src: AbelianGroup, dst: AbelianGroup) -> "GroupHom":
-        return cls(src, dst, tuple(tuple(0 for _ in range(src.rank))
-                                   for _ in range(dst.rank)))
-
     def to_json(self) -> dict:
         return {"src": self.src.to_json(), "dst": self.dst.to_json(),
                 "matrix": [list(r) for r in self.matrix]}

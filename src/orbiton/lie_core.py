@@ -39,6 +39,7 @@ __all__ = [
     "derived_series_length",
     "numeric_rank",
     "singular_value_rank",
+    "span_rank",
     "noise_floor",
     "load_algebra_json",
     "algebra_to_json",
@@ -340,6 +341,19 @@ def singular_value_rank(s: np.ndarray, shape: tuple) -> int:
     return int((s > tol).sum())
 
 
+def span_rank(s: np.ndarray, ambient_dim: int, atol: float = 0.0):
+    """Dimension of column spans in ambient_dim-space from the singular
+    values s of their column matrices (descending along the last axis).
+
+    Values at or below max(ambient_dim * sigma_max * RANK_RTOL, atol) are
+    zero; ``atol`` is an absolute floor for columns that may be entirely
+    roundoff noise, which the relative rule alone would promote to full
+    rank.  Leading axes of s are a stack of spans.
+    """
+    tol = np.maximum(ambient_dim * s[..., :1] * RANK_RTOL, atol)
+    return (s > tol).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Column span with an orthonormal basis, produced by :meth:`from_columns`."""
@@ -354,27 +368,15 @@ class Subspace:
     @classmethod
     def from_columns(cls, cols: np.ndarray, ambient_dim: int | None = None,
                      atol: float = 0.0) -> "Subspace":
-        """Span of the columns, with the uniform SVD rank rule.
-
-        ``atol`` is an absolute singular-value floor for callers whose
-        columns may consist entirely of roundoff noise; the relative rule
-        alone would promote such noise to full rank.
-        """
+        """Span of the columns, with the rank rule of :func:`span_rank`."""
         cols = np.atleast_2d(np.asarray(cols, dtype=float))
         if ambient_dim is None:
             ambient_dim = cols.shape[0]
-        if cols.size == 0 or cols.shape[1] == 0:
+        if cols.size == 0:
             return cls(ambient_dim, np.zeros((ambient_dim, 0)))
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls(ambient_dim, np.zeros((ambient_dim, 0)))
-        tol = max(ambient_dim * s[0] * RANK_RTOL, atol)
-        r = int((s > tol).sum())
+        r = int(span_rank(s, ambient_dim, atol))
         return cls(ambient_dim, u[:, :r].copy())
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

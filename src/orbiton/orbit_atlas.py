@@ -21,7 +21,6 @@ from . import families
 from .classify import MD4Label, NotSolvableError, DegenerateJordanError, classify_md4
 from .coadjoint import (
     OrbitSample,
-    _step_exponentials,
     kirillov_form,
     orbit_dimension,
     sample_orbit,
@@ -36,6 +35,7 @@ from .lie_core import (
     bracket,
     derived_subalgebra,
     numeric_rank,
+    span_rank,
 )
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
 
 STRATUM_ZERO_RTOL = 1e-9
 
-# Central-difference step of the orbit tangents in check_tangency.
-_TANGENT_STEP = 1e-5
 # Points of F + h-perp tested for orbit membership in check_polarization,
 # drawn from a generator seeded with _PUKANSZKY_SEED.
 _PUKANSZKY_SAMPLES = 100
@@ -359,16 +357,17 @@ def _angle_anchor(w: complex, w0: complex, phi: float,
 
     The radius anchor s_r = log|w / w0| / cos(phi) amplifies the rounding
     of |w / w0| by 1/|cos(phi)| (member residuals of 4e-6 at cos(phi) =
-    1e-10), but it is still close enough to pick the branch of the angle.
+    1e-10), but it is still close enough to pick the branch of the angle;
+    without it (a pure rotation: a circle) the principal branch is taken.
     Only for |cos(phi)| < _ANGLE_ANCHOR_COS: above it the radius anchor
     alone keeps members below about 5e-12, and their residuals keep its
-    bits.
+    bits.  None when w0 = 0: the block then stays at the origin.
     """
-    if s_r is None or abs(math.cos(phi)) >= _ANGLE_ANCHOR_COS:
+    if w0 == 0.0 or abs(math.cos(phi)) >= _ANGLE_ANCHOR_COS:
         return None
     sp = math.sin(phi)
     theta = cmath.phase(w / w0)
-    k = round((s_r * sp - theta) / (2.0 * math.pi))
+    k = 0 if s_r is None else round((s_r * sp - theta) / (2.0 * math.pi))
     return (theta + 2.0 * math.pi * k) / sp
 
 
@@ -422,19 +421,6 @@ def _curve_anchors(name: str, params: tuple, base: np.ndarray,
 
 def _curve_membership(model: OrbitModel, p: Sequence[float]) -> float:
     name, params, base = model.family, model.params, model.base
-
-    # Pure-rotation special cases have no usable log anchor in the rotating
-    # block; the curve is a circle there and the modulus is the invariant.
-    if name == "g423" and abs(math.cos(params[0])) < 1e-12:
-        r0 = math.hypot(base[1], base[2])
-        r = math.hypot(p[1], p[2])
-        return max(_norm_defect(p[0], float(base[0])), _norm_defect(r, r0))
-    if (name == "g434" and abs(math.cos(params[1])) < 1e-12
-            and _coord_is_zero(base[2], float(np.linalg.norm(base)))):
-        r0 = math.hypot(base[0], base[1])
-        r = math.hypot(p[0], p[1])
-        return max(_norm_defect(r, r0), _norm_defect(p[2], 0.0))
-
     # 1.0, the ceiling of a normalized defect, when no anchor places p.
     return min((_curve_defect(name, params, base, p, s)
                 for s in _curve_anchors(name, params, base, p)), default=1.0)
@@ -631,31 +617,32 @@ def distribution_rank_at(spec: DistributionSpec, p) -> int:
 
 def check_tangency(spec: DistributionSpec, sample: OrbitSample,
                    g: Optional[LieAlgebra] = None) -> float:
-    """Max residual of finite-difference orbit tangents against the fields.
+    """Max residual of the exact orbit tangents against the fields.
 
-    Tangents come from short coadjoint flows (central differences); each is
-    projected onto the span of the field values at the point.  Raises
-    StratumMismatch when a sample point lies on the fixed-point stratum.
+    The tangents at F are the rows of the Kirillov form B_F (see
+    ``coadjoint.flow_tangent``).  Each one's distance from the span of the
+    fields at its point, under the ``span_rank`` rule, is divided by 1 +
+    its norm.  Raises StratumMismatch when a sample point lies on the
+    fixed-point stratum.
     """
     if g is None:
         g = families.build_family(spec.family, *spec.params)
-    # exps[0, k] = exp(step·ad_{X_k}), exps[1, k] = exp(-step·ad_{X_k}),
-    # step = _TANGENT_STEP: the same matrices for every point.
-    exps = _step_exponentials(
-        g, np.tile(np.arange(g.dim), (2, 1)),
-        np.repeat([[_TANGENT_STEP], [-_TANGENT_STEP]], g.dim, axis=1))
-    worst = 0.0
-    for p in np.atleast_2d(sample.points):
+    points = np.atleast_2d(sample.points)
+    for p in points:
         if stratum_of(spec.family, p, spec.params) == _POINT_STRATUM:
             raise StratumMismatch(
                 "sample point lies on the fixed-point stratum")
-        span = Subspace.from_columns(
-            np.column_stack([f(p) for f in spec.fields_]), 4)
-        for k in range(g.dim):
-            v = (p @ exps[0, k] - p @ exps[1, k]) / (2.0 * _TANGENT_STEP)
-            resid = span.residual(v) / (1.0 + float(np.linalg.norm(v)))
-            worst = max(worst, resid)
-    return worst
+    # tangents[n, k, j] = <p_n, [X_k, X_j]>; fields[n, :, f] = field f at p_n.
+    tangents = np.einsum("kjm,nm->nkj", g.c, points)
+    fields = (np.einsum("fij,nj->nif",
+                        np.stack([f.matrix for f in spec.fields_]), points)
+              + np.stack([f.offset for f in spec.fields_], axis=1))
+    u, s, _ = np.linalg.svd(fields, full_matrices=False)
+    u *= np.arange(s.shape[-1]) < span_rank(s, 4)[:, None, None]
+    resid = tangents - (tangents @ u) @ np.swapaxes(u, 1, 2)
+    norms = np.linalg.norm(tangents, axis=-1)
+    return float(np.max(np.linalg.norm(resid, axis=-1) / (1.0 + norms),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,20 @@ class TestNumericRank:
         m = np.outer([1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 2.0, 0.0])
         m = m + 1e-13 * rng.standard_normal((4, 4))
         assert lc.numeric_rank(m) == 1
+
+    def test_stacked_span_rank_matches_from_columns(self):
+        # check_tangency ranks a stack of field spans at once; each must get
+        # the dimension Subspace.from_columns gives its matrix alone.
+        rng = np.random.default_rng(12)
+        stack = [np.zeros((4, 3)), np.eye(4)[:, :3],
+                 1e-13 * rng.standard_normal((4, 3))]
+        for r in (1, 2, 3):
+            stack.append(rng.standard_normal((4, r))
+                         @ rng.standard_normal((r, 3)))
+        stack = np.array(stack)
+        s = np.linalg.svd(stack, compute_uv=False)
+        for atol in (0.0, 1e-12):
+            want = [lc.Subspace.from_columns(m, 4, atol=atol).dim
+                    for m in stack]
+            assert lc.span_rank(s, 4, atol).tolist() == want
+        assert lc.span_rank(s, 4, 1e-12).tolist() == [0, 3, 0, 1, 2, 3]

@@ -1,5 +1,6 @@
 """Stratification, closed-form orbit models, foliations, polarizations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,10 @@ class TestOrbitModels:
         ("g423", (math.pi / 2,), [0.4, 0.9, 0.7, 0.3]),
         ("g434", (2.0, math.pi / 2), [0.4, 0.9, 0.0, 0.3]),
         ("g434", (2.0, math.pi / 2), [0.4, 0.9, 0.7, 0.3]),
+        # zero radius in the rotating block: no angle to anchor by
+        ("g434", (2.0, math.pi / 2), [0.0, 0.0, 0.7, 0.3]),
+        # gamma below the stratum tolerance, but not zero
+        ("g434", (2.0, math.pi / 2), [0.4, 0.9, 1e-12, 0.3]),
     ]
 
     @pytest.mark.parametrize("name, params, base", ANCHOR_DEGENERATE)
@@ -223,12 +228,83 @@ class TestFoliation:
                 sample = co.sample_orbit(g, base, 30, seed=9)
                 assert oa.check_tangency(spec, sample, g) < 1e-6
 
+    @staticmethod
+    def _next_family_fields(i):
+        """Fields of the system after family i in FAMILY_ORDER (cyclic)."""
+        nxt = families.FAMILY_ORDER[(i + 1) % len(families.FAMILY_ORDER)]
+        return oa.distribution_spec(nxt, families.default_params(nxt)).fields_
+
+    def test_tangency_matches_a_pointwise_reference(self):
+        # The stacked computation against one point and one tangent at a
+        # time, on the true system and on the next family's (residuals of
+        # order 0.1), so that both the zero and the nonzero values count.
+        rng = np.random.default_rng(59)
+        for i, (name, params, g) in enumerate(family_fixtures()):
+            true = oa.distribution_spec(name, params)
+            wrong = dataclasses.replace(true,
+                                        fields_=self._next_family_fields(i))
+            stratum = oa.strata_names(name, params)[1]
+            base = oa.random_base(name, stratum, rng, params)
+            sample = co.sample_orbit(g, base, 10, seed=9)
+            for spec in (true, wrong):
+                want = 0.0
+                for p in sample.points:
+                    span = lc.Subspace.from_columns(
+                        np.column_stack([f(p) for f in spec.fields_]), 4)
+                    for k in range(4):
+                        v = co.flow_tangent(g, p, k)
+                        want = max(want, span.residual(v)
+                                   / (1.0 + np.linalg.norm(v)))
+                got = oa.check_tangency(spec, sample, g)
+                assert abs(got - want) <= 1e-14 * (1.0 + want), \
+                    (name, spec.system, got, want)
+
     def test_tangency_rejects_fixed_points(self):
         g = families.build_family("g442")
         spec = oa.distribution_spec("g442")
         sample = co.sample_orbit(g, np.array([0.0, 0.0, 0.0, 1.0]), 3, seed=2)
         with pytest.raises(oa.StratumMismatch):
             oa.check_tangency(spec, sample, g)
+
+    @staticmethod
+    def _foliation_verdict(spec, g):
+        """The foliation verdict of criterion 5 and ``orbiton foliation``:
+        the rank is spec.generic_rank at every sample point of every
+        non-fixed stratum, and the tangency residual is under 1e-6."""
+        rng = np.random.default_rng(58)
+        for stratum in oa.strata_names(spec.family, spec.params):
+            if stratum == "fixed-points":
+                continue
+            base = oa.random_base(spec.family, stratum, rng, spec.params)
+            sample = co.sample_orbit(g, base, 20, seed=9)
+            if any(oa.distribution_rank_at(spec, p) != spec.generic_rank
+                   for p in sample.points):
+                return False
+            if oa.check_tangency(spec, sample, g) >= 1e-6:
+                return False
+        return True
+
+    def test_wrong_field_systems_fail_the_verdict(self):
+        # Mutants of each family's system: the next family's fields (in
+        # FAMILY_ORDER, cyclically), and every field matrix plus 1e-3 times
+        # the cyclic shift.  The one exempt mutant is g424 perturbed: its
+        # fields span all of R^4, as the perturbed ones still do, so the
+        # foliation it describes does not change.
+        shift = 1e-3 * np.roll(np.eye(4), 1, axis=1)
+        passed = []
+        for i, (name, params, g) in enumerate(family_fixtures()):
+            spec = oa.distribution_spec(name, params)
+            assert self._foliation_verdict(spec, g), name
+            mutants = {
+                "next": self._next_family_fields(i),
+                "perturbed": tuple(oa.LinearField(f.matrix + shift, f.offset)
+                                   for f in spec.fields_),
+            }
+            for kind, fields in mutants.items():
+                mutant = dataclasses.replace(spec, fields_=fields)
+                if self._foliation_verdict(mutant, g):
+                    passed.append((name, kind))
+        assert passed == [("g424", "perturbed")]
 
     def test_system_fields_are_affine(self):
         # every listed field evaluates linearly: X(p) + X(q) - X(0) = X(p+q)

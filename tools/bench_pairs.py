@@ -24,16 +24,17 @@ metrics are stored as they are.
 After the pairs, each side also runs each suite of ``SUITES`` once,
 with src on the path and the side that runs first alternating: the
 tier-1 suite (``--continue-on-collection-errors``), acceptance criteria
-3, 7 and 8, the whole acceptance file, the Fredholm tests
+3, 5, 7 and 8, the whole acceptance file, the Fredholm tests
 (``tests/test_fredholm.py`` and ``tests/test_golden_index.py``), the
 atlas tests (``tests/test_orbit_atlas.py``, ``tests/test_coadjoint.py``
 and ``tests/test_golden_samples.py``), the command-line tests
 (``tests/test_cli.py`` and ``tests/test_golden_reports.py``),
-``orbiton all`` (text report), ``import orbiton`` alone and
-``orbiton atlas --family g442`` (text report), these two for the
-start-up cost of the package and of the orbit side, and ``atlas_minflt``,
-which prints the minor page faults of each warm ``workloads.atlas_pass``
-(seed 101, five passes after a first one) as a JSON line.
+``orbiton all`` and ``orbiton foliation`` (text reports), ``import
+orbiton`` alone and ``orbiton atlas --family g442`` (text report), these
+two for the start-up cost of the package and of the orbit side, and
+``atlas_minflt``, which prints the minor page faults of each warm
+``workloads.atlas_pass`` (seed 101, five passes after a first one) as a
+JSON line.
 Their wall times, exit codes and last output lines (the pytest summary,
 the report's status line, the fault counts) go under ``suites``.
 
@@ -83,6 +84,10 @@ SUITES = {
     "criterion_03": [
         *_PYTEST,
         "tests/test_acceptance.py::test_criterion_03_orbit_atlas_consistency"],
+    "criterion_05": [
+        *_PYTEST,
+        "tests/test_acceptance.py::"
+        "test_criterion_05_foliation_rank_and_tangency"],
     "criterion_07": [
         *_PYTEST,
         "tests/test_acceptance.py::test_criterion_07_fredholm_index_pair"],
@@ -97,6 +102,8 @@ SUITES = {
               "tests/test_coadjoint.py", "tests/test_golden_samples.py"],
     "cli": [*_PYTEST, "tests/test_cli.py", "tests/test_golden_reports.py"],
     "orbiton_all": ["-m", "orbiton.cli", "all", "--format", "text"],
+    "orbiton_foliation": ["-m", "orbiton.cli", "foliation", "--format",
+                          "text"],
     "import": ["-c", "import orbiton"],
     "orbiton_atlas": ["-m", "orbiton.cli", "atlas", "--family", "g442",
                       "--format", "text"],
@@ -257,10 +264,11 @@ def main(argv=None) -> int:
             "traced": "one --trace 1 run per side at each traced seed for "
                       "the per-layer numbers, after the untraced pairs",
             "suites": "one timed run per side of the tier-1 suite, of "
-                      "acceptance criteria 3, 7 and 8, of the whole "
+                      "acceptance criteria 3, 5, 7 and 8, of the whole "
                       "acceptance file, of the Fredholm tests, of the "
                       "atlas tests, of the command-line tests, of "
-                      "orbiton all, of import orbiton, of orbiton atlas "
+                      "orbiton all, of orbiton foliation, of import "
+                      "orbiton, of orbiton atlas "
                       "--family g442 and of the warm orbit-atlas passes' "
                       "minor page faults (atlas_minflt) after all pairs, "
                       "the side that runs first alternating from suite to "
